@@ -18,8 +18,9 @@ import numpy as np
 from . import state as state_mod
 from .torus import build_spec, random_field
 from .state import (make_potential, project_tangent, green_solve, ma_cross,
-                    hess_star, c_divergence, PositivityViolation, NoConvergence)
-from .metrics import MetricKind
+                    hess_star, c_divergence, PositivityViolation, MeanNotZero,
+                    NoConvergence)
+from .metrics import MetricKind, DegeneratePlane
 from .curvature import sectional, commutator_fd, dirichlet_bound
 from .dynamics import (integrate_geodesic, geodesic_residual, path_energy,
                        path_length, pseudo_calabi_flow)
@@ -31,6 +32,9 @@ __all__ = ["ConfigError", "load_config", "cmd_check", "cmd_curvature",
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
+
+# exceptions the library raises on a state or plane it cannot handle
+LIBRARY_ERRORS = (PositivityViolation, MeanNotZero, NoConvergence, DegeneratePlane)
 
 KIND_NAMES = {"Dirichlet": MetricKind.DIRICHLET,
               "Mabuchi": MetricKind.MABUCHI,
@@ -265,39 +269,52 @@ def cmd_check(cfg):
 
 # ------------------------------------------------------------ curvature ---
 
+def _curvature_cells(cfg, kind, pot, tv1, tv2):
+    # value, bound, residual, oracle, delta and error cells of one row
+    report = sectional(kind, pot, tv1, tv2)
+    diag = report.diagnostics
+    residual = max((diag[k] for k in diag if k.startswith("residual_")),
+                   default=0.0)
+    bound = (dirichlet_bound(pot, report.plane[0])
+             if kind is MetricKind.DIRICHLET else "")
+    if kind is MetricKind.CALABI:
+        oracle = 0.25
+    elif kind is MetricKind.DIRICHLET and cfg["n"] == 1:
+        oracle = 0.0
+    elif kind is MetricKind.DIRICHLET and cfg["oracle"]:
+        oracle = commutator_fd(pot, report.plane[0], report.plane[1],
+                               cfg["oracle_h"])
+    else:
+        oracle = ""
+    delta = abs(report.value - oracle) if oracle != "" else ""
+    return [report.value, bound, residual, oracle, delta, ""]
+
+
+def _error_cells(exc):
+    return ["", "", "", "", "", "%s: %s" % (type(exc).__name__, exc)]
+
+
 def cmd_curvature(cfg):
     """Seeded sectional-curvature sweep; one CSV row per (seed, kind)."""
     spec = build_spec(cfg["n"], cfg["grid"])
     rows = []
     failed = False
     for seed in range(cfg["seed"], cfg["seed"] + cfg["planes"]):
-        for kind_name in cfg["kinds"]:
-            kind = KIND_NAMES[kind_name]
-            base = [kind_name, cfg["n"], cfg["grid"], seed]
+        bases = [[kind_name, cfg["n"], cfg["grid"], seed]
+                 for kind_name in cfg["kinds"]]
+        try:
+            pot, tv1, tv2 = _plane(spec, seed, cfg)
+        except LIBRARY_ERRORS as exc:
+            failed = True
+            rows.extend(base + _error_cells(exc) for base in bases)
+            continue
+        for base in bases:
             try:
-                pot, tv1, tv2 = _plane(spec, seed, cfg)
-                report = sectional(kind, pot, tv1, tv2)
-                diag = report.diagnostics
-                residual = max((diag[k] for k in diag if k.startswith("residual_")),
-                               default=0.0)
-                bound = (dirichlet_bound(pot, report.plane[0])
-                         if kind is MetricKind.DIRICHLET else "")
-                if kind is MetricKind.CALABI:
-                    oracle = 0.25
-                elif kind is MetricKind.DIRICHLET and cfg["n"] == 1:
-                    oracle = 0.0
-                elif kind is MetricKind.DIRICHLET and cfg["oracle"]:
-                    oracle = commutator_fd(pot, report.plane[0], report.plane[1],
-                                           cfg["oracle_h"])
-                else:
-                    oracle = ""
-                delta = abs(report.value - oracle) if oracle != "" else ""
-                rows.append(base + [report.value, bound, residual, oracle,
-                                    delta, ""])
-            except (PositivityViolation, NoConvergence) as exc:
+                cells = _curvature_cells(cfg, KIND_NAMES[base[0]], pot, tv1, tv2)
+            except LIBRARY_ERRORS as exc:
                 failed = True
-                rows.append(base + ["", "", "", "", "",
-                                    "%s: %s" % (type(exc).__name__, exc)])
+                cells = _error_cells(exc)
+            rows.append(base + cells)
     os.makedirs(cfg["out"], exist_ok=True)
     write_csv(os.path.join(cfg["out"], "curvature.csv"),
               ["kind", "n", "N", "seed", "value", "bound", "residual",

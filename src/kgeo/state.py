@@ -12,7 +12,7 @@ are gauge and every operator here returns a fixed gauge representative.
 
 import numpy as np
 
-from .torus import dealias, integrate, complex_hessian
+from .torus import dealias, complex_hessian, hessian_parts, rfft, irfft
 
 __all__ = [
     "EPS_POS",
@@ -129,8 +129,7 @@ def _potential_raw(spec, phi):
     """
     phi = np.asarray(phi, dtype=float)
     phi = phi - float(np.sum(phi) / spec.nodes)
-    hess = complex_hessian(spec, phi)
-    g = hess.copy()
+    g = complex_hessian(spec, phi)
     for j in range(spec.n):
         g[..., j, j] += 0.5
     lo, _ = _hermitian_eig_bounds(g)
@@ -170,29 +169,48 @@ def project_tangent(pot, f):
     return TangentVector(pot, psi)
 
 
-def _trace_hess(g_inv, hess):
-    # tr(g^-1 H); real for Hermitian factors
-    return np.einsum("...jk,...kj->...", g_inv, hess).real
+def _lap_parts(pot, parts):
+    # tr(g^-1 H) = a f11 + c f22 + 2 (p Re f12 + q Im f12) with
+    # g^-1 = [[a, p + iq], [p - iq, c]]; parts as hessian_parts returns them
+    g_inv = pot.g_inv
+    out = g_inv[..., 0, 0].real * parts[0]
+    if pot.spec.n == 2:
+        _, f22, re12, im12 = parts
+        b = g_inv[..., 0, 1]
+        out += g_inv[..., 1, 1].real * f22
+        out += 2.0 * (b.real * re12 + b.imag * im12)
+    return out
+
+
+def _mixed_det(pot, pf, ph):
+    # mixed determinant of Hf and Hh over det g, n = 2 only:
+    # (f11 h22 + f22 h11 - 2 Re(f12 conj h12)) / det g
+    f11, f22, fre, fim = pf
+    h11, h22, hre, him = ph
+    out = f11 * h22 + f22 * h11 - 2.0 * (fre * hre + fim * him)
+    out /= pot.e_u * pot.spec.det_flat
+    return out
 
 
 def laplacian(pot, f):
     """Metric Laplacian: trace of the complex Hessian against g_inv."""
-    return _trace_hess(pot.g_inv, complex_hessian(pot.spec, f))
-
-
-def _star(g_inv, hf, hh):
-    # tr(g^-1 Hf g^-1 Hh); symmetric and real, >= 0 for hf == hh
-    return np.einsum("...jk,...kl,...lm,...mj->...", g_inv, hf, g_inv, hh).real
+    return _lap_parts(pot, hessian_parts(pot.spec, f))
 
 
 def hess_star(pot, f, h):
     """Hessian-star product tr(g^-1 Hess f g^-1 Hess h), pointwise.
 
     Symmetric in (f, h); nonnegative for f == h; equals the product of the
-    Laplacians in complex dimension one.
+    Laplacians in complex dimension one. Computed as lap f * lap h minus
+    ma_cross, the 2x2 identity tr(A) tr(B) - tr(AB) = mixed det(A, B).
     """
     spec = pot.spec
-    return _star(pot.g_inv, complex_hessian(spec, f), complex_hessian(spec, h))
+    pf = hessian_parts(spec, f)
+    ph = pf if h is f else hessian_parts(spec, h)
+    out = _lap_parts(pot, pf) * _lap_parts(pot, ph)
+    if spec.n == 2:
+        out -= _mixed_det(pot, pf, ph)
+    return out
 
 
 def ma_cross(pot, f, h):
@@ -200,14 +218,17 @@ def ma_cross(pot, f, h):
 
     Source of the auxiliary-potential equation and of the geodesic
     right-hand side; its e^u-mean vanishes (exactly, for dealiased inputs).
-    Identically zero in complex dimension one, where the Hessian-star
-    degenerates to the product of Laplacians.
+    Equal to the mixed determinant of the two complex Hessians over det g:
+    (f_11 h_22 + f_22 h_11 - 2 Re(f_12 conj h_12)) / det g. Exactly zero in
+    complex dimension one, where the Hessian-star degenerates to the product
+    of Laplacians.
     """
     spec = pot.spec
-    hf = complex_hessian(spec, f)
-    hh = hf if h is f else complex_hessian(spec, h)
-    return (_trace_hess(pot.g_inv, hf) * _trace_hess(pot.g_inv, hh)
-            - _star(pot.g_inv, hf, hh))
+    if spec.n == 1:
+        return np.zeros(spec.shape)
+    pf = hessian_parts(spec, f)
+    ph = pf if h is f else hessian_parts(spec, h)
+    return _mixed_det(pot, pf, ph)
 
 
 def c_tensor(pot, f):
@@ -217,7 +238,8 @@ def c_tensor(pot, f):
     weighted divergence vanishes (see c_divergence).
     """
     hess = complex_hessian(pot.spec, f)
-    lap = _trace_hess(pot.g_inv, hess)
+    # tr(g^-1 H) = sum_jk g^-1_jk conj(H_jk) for Hermitian H
+    lap = np.sum((pot.g_inv * np.conj(hess)).real, axis=(-2, -1))
     return lap[..., None, None] * pot.g - hess
 
 
@@ -257,11 +279,7 @@ def laplacian_rate(pot, phi_t, psi, psi_t=None):
 
 def _flat_inverse(spec, r):
     # preconditioner: inverse of minus the flat Laplacian, zero DC
-    rh = np.fft.fftn(r)
-    sym = 2.0 * np.pi ** 2 * spec.kmag2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rh = np.where(sym > 0.0, rh / sym, 0.0)
-    return np.fft.ifftn(rh).real
+    return irfft(spec, spec.half_lap_inv * rfft(spec, r))
 
 
 def green_solve(pot, v, tol=1e-10, maxiter=None, tol_mean=1e-8, atol_floor=1e-12,

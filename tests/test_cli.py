@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 
+import kgeo.cli
+import kgeo.metrics
 import kgeo.state
 from kgeo.cli import (
     DEFAULT_TOLERANCES,
@@ -176,6 +178,64 @@ def test_curvature_csv_dim1(tmp_path):
     with open(os.path.join(out2, "curvature.csv"), "rb") as fh:
         b2 = fh.read()
     assert b1 == b2
+
+
+def test_curvature_dim1_roundoff_source_regression(tmp_path):
+    # the dimension-one Dirichlet source is identically zero; computed as a
+    # difference of products its roundoff once reached green_solve's
+    # MeanNotZero check on this config and ended in a traceback
+    out = str(tmp_path / "out")
+    assert main(["curvature", "--n", "1", "--grid", "128", "--seed", "114",
+                 "--out", out]) == 0
+    body = _read_csv(out, "curvature.csv")[1:]
+    assert len(body) == DEFAULTS["planes"] * 3
+    assert all(r[9] == "" for r in body)
+
+
+@pytest.mark.parametrize("exc", [kgeo.state.MeanNotZero("rhs not solvable"),
+                                 kgeo.metrics.DegeneratePlane("flat plane"),
+                                 kgeo.state.NoConvergence("no convergence")])
+def test_curvature_library_error_is_a_row(tmp_path, monkeypatch, exc):
+    true_sectional = kgeo.cli.sectional
+
+    def failing(kind, pot, tv1, tv2):
+        if kind is kgeo.metrics.MetricKind.MABUCHI:
+            raise exc
+        return true_sectional(kind, pot, tv1, tv2)
+
+    monkeypatch.setattr(kgeo.cli, "sectional", failing)
+    path = _write_cfg(tmp_path, planes=2)
+    out = str(tmp_path / "out")
+    assert main(["curvature", "--config", path, "--out", out]) == 1
+    body = _read_csv(out, "curvature.csv")[1:]
+    errors = {r[0]: r[9] for r in body}
+    assert errors["Mabuchi"] == "%s: %s" % (type(exc).__name__, exc)
+    assert errors["Dirichlet"] == errors["Calabi"] == ""
+    assert _read_json(out, "curvature_summary.json")["errors"] == 1
+
+
+def test_curvature_plane_error_fills_every_kind(tmp_path):
+    path = _write_cfg(tmp_path, planes=2, amp_phi=5.0)
+    out = str(tmp_path / "out")
+    assert main(["curvature", "--config", path, "--out", out]) == 1
+    body = _read_csv(out, "curvature.csv")[1:]
+    assert len(body) == 2 * 3
+    assert all(r[9].startswith("PositivityViolation: ") for r in body)
+
+
+def test_curvature_builds_each_plane_once(tmp_path, monkeypatch):
+    calls = []
+    true_make = kgeo.cli.make_potential
+
+    def counting(spec, phi):
+        calls.append(spec)
+        return true_make(spec, phi)
+
+    monkeypatch.setattr(kgeo.cli, "make_potential", counting)
+    path = _write_cfg(tmp_path, planes=3)
+    out = str(tmp_path / "out")
+    assert main(["curvature", "--config", path, "--out", out]) == 0
+    assert len(calls) == 3
 
 
 def test_curvature_fd_oracle_dim2(tmp_path):
