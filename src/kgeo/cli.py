@@ -5,7 +5,9 @@ overrides, and writes CSV data plus a JSON summary into the output
 directory. Outputs are deterministic: equal configs give byte-identical
 files (fixed seeds, fixed loop order, 17-digit reals, sorted JSON keys, no
 timestamps). Exit codes: 0 success, 1 invariant or experiment failure,
-2 config error.
+2 config error. A library error (non-positive metric, unsolvable source,
+solver breakdown, degenerate plane) that a command does not record itself
+exits 1 after writing the command's summary with `error` and `exit_time`.
 """
 
 import argparse
@@ -21,7 +23,7 @@ from .state import (make_potential, project_tangent, green_solve, ma_cross,
                     hess_star, c_divergence, PositivityViolation, MeanNotZero,
                     NoConvergence)
 from .metrics import MetricKind, DegeneratePlane
-from .curvature import sectional, commutator_fd, dirichlet_bound
+from .curvature import sectional, commutator_fd
 from .dynamics import (integrate_geodesic, geodesic_residual, path_energy,
                        path_length, pseudo_calabi_flow)
 from .fieldio import write_csv, write_json
@@ -35,6 +37,15 @@ EXIT_CONFIG = 2
 
 # exceptions the library raises on a state or plane it cannot handle
 LIBRARY_ERRORS = (PositivityViolation, MeanNotZero, NoConvergence, DegeneratePlane)
+
+# the JSON summary each command writes, also on a library error
+SUMMARY_FILES = {
+    "check": "check_report.json",
+    "curvature": "curvature_summary.json",
+    "geodesic": "geodesic_summary.json",
+    "flow": "flow_summary.json",
+    "energy": "energy_summary.json",
+}
 
 KIND_NAMES = {"Dirichlet": MetricKind.DIRICHLET,
               "Mabuchi": MetricKind.MABUCHI,
@@ -84,6 +95,17 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _is_int(value):
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    # compared, not converted: JSON integers may exceed the float range
+    return ((_is_int(value) or isinstance(value, float))
+            and abs(value) <= sys.float_info.max)
+
+
 def load_config(path=None, overrides=None):
     """Merge defaults, an optional JSON file and CLI overrides; validate."""
     cfg = {k: (dict(v) if isinstance(v, dict) else
@@ -105,40 +127,40 @@ def load_config(path=None, overrides=None):
         if value is not None:
             cfg[key] = value
 
-    _require(cfg["schema"] == 1, "unsupported schema %r" % (cfg["schema"],))
-    _require(cfg["n"] in (1, 2), "n must be 1 or 2")
-    _require(cfg["grid"] in (16, 32, 64, 128), "grid must be a power of two in 16..128")
-    _require(isinstance(cfg["seed"], int) and 0 <= cfg["seed"] < 2 ** 64,
+    _require(_is_int(cfg["schema"]) and cfg["schema"] == 1,
+             "unsupported schema %r" % (cfg["schema"],))
+    _require(_is_int(cfg["n"]) and cfg["n"] in (1, 2), "n must be 1 or 2")
+    _require(_is_int(cfg["grid"]) and cfg["grid"] in (16, 32, 64, 128),
+             "grid must be a power of two in 16..128")
+    _require(_is_int(cfg["seed"]) and 0 <= cfg["seed"] < 2 ** 64,
              "seed must be an unsigned integer")
-    _require(isinstance(cfg["planes"], int) and 1 <= cfg["planes"] <= 10000,
+    _require(_is_int(cfg["planes"]) and 1 <= cfg["planes"] <= 10000,
              "planes must be a positive integer")
     _require(isinstance(cfg["kinds"], list) and cfg["kinds"]
              and all(k in KIND_NAMES for k in cfg["kinds"]),
              "kinds must be a nonempty list drawn from %s" % sorted(KIND_NAMES))
     for key in ("amp_phi", "amp_psi", "decay", "T", "dt", "flow_dt", "oracle_h"):
-        value = cfg[key]
-        _require(isinstance(value, (int, float)) and np.isfinite(value),
-                 "%s must be a finite number" % key)
+        _require(_is_real(cfg[key]), "%s must be a finite number" % key)
     _require(cfg["amp_phi"] >= 0.0 and cfg["amp_psi"] >= 0.0, "amplitudes must be >= 0")
     _require(cfg["dt"] > 0.0 and cfg["T"] >= cfg["dt"], "need 0 < dt <= T")
     _require(0.0 < cfg["flow_dt"] <= cfg["T"], "need 0 < flow_dt <= T")
     _require(cfg["oracle_h"] > 0.0, "oracle_h must be positive")
-    _require(cfg["kmax"] is None or (isinstance(cfg["kmax"], int) and cfg["kmax"] >= 1),
+    _require(cfg["kmax"] is None or (_is_int(cfg["kmax"]) and cfg["kmax"] >= 1),
              "kmax must be null or a positive integer")
-    _require(isinstance(cfg["store_every"], int) and cfg["store_every"] >= 1,
+    _require(_is_int(cfg["store_every"]) and cfg["store_every"] >= 1,
              "store_every must be a positive integer")
     nsteps = int(round(cfg["T"] / cfg["dt"]))
     _require(cfg["store_every"] > nsteps or nsteps % cfg["store_every"] == 0,
              "store_every must divide round(T/dt) or exceed it")
-    _require(isinstance(cfg["halvings"], int) and 0 <= cfg["halvings"] <= 4,
+    _require(_is_int(cfg["halvings"]) and 0 <= cfg["halvings"] <= 4,
              "halvings must be an integer in 0..4")
-    _require(isinstance(cfg["nu_steps"], int) and cfg["nu_steps"] >= 2,
+    _require(_is_int(cfg["nu_steps"]) and cfg["nu_steps"] >= 2,
              "nu_steps must be an integer >= 2")
     _require(isinstance(cfg["oracle"], bool), "oracle must be true or false")
     _require(isinstance(cfg["tolerances"], dict), "tolerances must be an object")
     for name, value in cfg["tolerances"].items():
         _require(name in DEFAULT_TOLERANCES, "unknown tolerance %r" % (name,))
-        _require(isinstance(value, (int, float)) and np.isfinite(value) and value >= 0.0,
+        _require(_is_real(value) and value >= 0.0,
                  "tolerance %r must be a finite number >= 0" % (name,))
     _require(isinstance(cfg["out"], str) and cfg["out"], "out must be a path")
     return cfg
@@ -148,118 +170,111 @@ def _tolerance(cfg, name):
     return float(cfg["tolerances"].get(name, DEFAULT_TOLERANCES[name]))
 
 
-def _field(spec, seed, cfg, stream):
-    # disjoint deterministic seed streams per field role
-    return random_field(spec, seed + 10 ** 6 * stream,
-                        decay=cfg["decay"], kmax=cfg["kmax"])
+def _seeded_state(spec, cfg, seed, tangents):
+    """[pot, tv_1, ..., tv_tangents]: the seeded potential and tangents."""
+    def field(stream):
+        # disjoint deterministic seed streams per field role
+        return random_field(spec, seed + 10 ** 6 * stream,
+                            decay=cfg["decay"], kmax=cfg["kmax"])
+
+    pot = make_potential(spec, cfg["amp_phi"] * field(0))
+    return [pot] + [project_tangent(pot, cfg["amp_psi"] * field(stream))
+                    for stream in range(1, tangents + 1)]
 
 
-def _plane(spec, seed, cfg):
-    pot = make_potential(spec, cfg["amp_phi"] * _field(spec, seed, cfg, 0))
-    tv1 = project_tangent(pot, cfg["amp_psi"] * _field(spec, seed, cfg, 1))
-    tv2 = project_tangent(pot, cfg["amp_psi"] * _field(spec, seed, cfg, 2))
-    return pot, tv1, tv2
-
-
-def _echo_config(cfg):
-    return {k: cfg[k] for k in sorted(cfg)}
+def _write_summary(cfg, command, fields):
+    write_json(os.path.join(cfg["out"], SUMMARY_FILES[command]),
+               dict(schema=1, config=cfg, **fields))
 
 
 # ---------------------------------------------------------------- check ---
 
+def _plane_checks(pot, tv1, tv2):
+    """(name, value) of every invariant check on one plane, in report order.
+
+    A library error inside a check (a solver breakdown, a degenerate plane)
+    gives that check the value inf: a failed check, not a crash.
+    """
+    p, q = tv1.psi, tv2.psi
+    # resolved through the module attribute so a tampered operator is caught
+    # (mutation testing hooks in here)
+    lap = state_mod.laplacian
+
+    def self_adjoint():
+        # of the metric Laplacian in the e^u pairing
+        lhs = pot.eu_mean(p * lap(pot, q))
+        rhs = pot.eu_mean(q * lap(pot, p))
+        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
+
+    def roundtrip():
+        # on a generic in-range source (the cross term is identically zero
+        # in dimension one, so it cannot serve here)
+        target = lap(pot, q)
+        target = target - pot.eu_mean(target)
+        back = lap(pot, green_solve(pot, target))
+        return (float(np.max(np.abs(back - target)))
+                / max(float(np.max(np.abs(target))), 1e-30))
+
+    def source_mean_zero():
+        # the cross term's e^u-mean vanishes identically; compare against
+        # the size of its two cancelling constituents, not of the result
+        scale = float(np.sqrt(np.mean(hess_star(pot, p, q) ** 2)))
+        return abs(pot.eu_mean(ma_cross(pot, p, q))) / max(scale, 1e-30)
+
+    def divergence():
+        return c_divergence(pot, p) / max(float(np.max(np.abs(p))), 1e-30)
+
+    def calabi():
+        return abs(sectional(MetricKind.CALABI, pot, tv1, tv2).value - 0.25)
+
+    def mabuchi():
+        return sectional(MetricKind.MABUCHI, pot, tv1, tv2).value
+
+    def dim1_flatness():
+        return abs(sectional(MetricKind.DIRICHLET, pot, tv1, tv2).value)
+
+    def bound_gap():
+        report = sectional(MetricKind.DIRICHLET, pot, tv1, tv2)
+        return abs(report.value) - report.bound()
+
+    checks = [("laplacian_self_adjoint", self_adjoint),
+              ("green_roundtrip", roundtrip),
+              ("source_mean_zero", source_mean_zero),
+              ("ctensor_divergence_free", divergence),
+              ("calabi_constant", calabi),
+              ("mabuchi_nonpositive", mabuchi)]
+    if pot.spec.n == 1:
+        checks.append(("dirichlet_dim1_flatness", dim1_flatness))
+    else:
+        checks.append(("dirichlet_bound_dominates", bound_gap))
+    out = []
+    for name, check in checks:
+        try:
+            value = check()
+        except LIBRARY_ERRORS:
+            value = float("inf")
+        out.append((name, value))
+    return out
+
+
 def cmd_check(cfg):
     """Cross-module invariant suite; JSON report, exit 0 iff all pass."""
     spec = build_spec(cfg["n"], cfg["grid"])
-    seeds = [cfg["seed"] + i for i in range(min(cfg["planes"], 5))]
+    values = {}
+    for seed in range(cfg["seed"], cfg["seed"] + min(cfg["planes"], 5)):
+        pot, tv1, tv2 = _seeded_state(spec, cfg, seed, 2)
+        for name, value in _plane_checks(pot, tv1, tv2):
+            values.setdefault(name, []).append(float(value))
     checks = []
-
-    def run(name, value):
-        checks.append({"name": name, "value": float(value),
-                       "tolerance": _tolerance(cfg, name),
-                       "pass": bool(value <= _tolerance(cfg, name))})
-
-    sa_worst = 0.0
-    rt_worst = 0.0
-    mz_worst = 0.0
-    dv_worst = 0.0
-    ca_worst = 0.0
-    for seed in seeds:
-        pot, tv1, tv2 = _plane(spec, seed, cfg)
-        p, q = tv1.psi, tv2.psi
-        # self-adjointness of the metric Laplacian in the e^u pairing;
-        # resolved through the module attribute so a tampered operator is
-        # caught (mutation testing hooks in here).
-        lap = state_mod.laplacian
-        lhs = pot.eu_mean(p * lap(pot, q))
-        rhs = pot.eu_mean(q * lap(pot, p))
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        sa_worst = max(sa_worst, abs(lhs - rhs) / scale)
-
-        # round-trip on a generic in-range source (the cross term is
-        # identically zero in dimension one, so it cannot serve here);
-        # a solver breakdown counts as a failed check, not a crash
-        try:
-            target = lap(pot, q)
-            target = target - pot.eu_mean(target)
-            w = green_solve(pot, target)
-            back = state_mod.laplacian(pot, w)
-            rt_worst = max(rt_worst, float(np.max(np.abs(back - target)))
-                           / max(float(np.max(np.abs(target))), 1e-30))
-        except NoConvergence:
-            rt_worst = float("inf")
-
-        # the cross term's e^u-mean vanishes identically; compare against
-        # the size of its two cancelling constituents, not of the result
-        v = ma_cross(pot, p, q)
-        scale = float(np.sqrt(np.mean(hess_star(pot, p, q) ** 2)))
-        mz_worst = max(mz_worst, abs(pot.eu_mean(v)) / max(scale, 1e-30))
-
-        div = c_divergence(pot, p)
-        dv_worst = max(dv_worst, div / max(float(np.max(np.abs(p))), 1e-30))
-
-        ca_worst = max(ca_worst, abs(
-            sectional(MetricKind.CALABI, pot, tv1, tv2).value - 0.25))
-
-    run("laplacian_self_adjoint", sa_worst)
-    run("green_roundtrip", rt_worst)
-    run("source_mean_zero", mz_worst)
-    run("ctensor_divergence_free", dv_worst)
-    run("calabi_constant", ca_worst)
-
-    km_worst = -np.inf
-    for seed in seeds:
-        pot, tv1, tv2 = _plane(spec, seed, cfg)
-        km_worst = max(km_worst,
-                       sectional(MetricKind.MABUCHI, pot, tv1, tv2).value)
-    run("mabuchi_nonpositive", km_worst)
-
-    if cfg["n"] == 1:
-        kd_worst = 0.0
-        try:
-            for seed in seeds:
-                pot, tv1, tv2 = _plane(spec, seed, cfg)
-                kd_worst = max(kd_worst, abs(
-                    sectional(MetricKind.DIRICHLET, pot, tv1, tv2).value))
-        except NoConvergence:
-            kd_worst = float("inf")
-        run("dirichlet_dim1_flatness", kd_worst)
-    else:
-        gap_worst = -np.inf
-        try:
-            for seed in seeds:
-                pot, tv1, tv2 = _plane(spec, seed, cfg)
-                report = sectional(MetricKind.DIRICHLET, pot, tv1, tv2)
-                bound = dirichlet_bound(pot, report.plane[0])
-                gap_worst = max(gap_worst, abs(report.value) - bound)
-        except NoConvergence:
-            gap_worst = float("inf")
-        run("dirichlet_bound_dominates", gap_worst)
+    for name, seen in values.items():
+        # a NaN anywhere fails its check; max() would drop it by position
+        worst = float("nan") if np.isnan(seen).any() else max(seen)
+        tolerance = _tolerance(cfg, name)
+        checks.append({"name": name, "value": worst, "tolerance": tolerance,
+                       "pass": bool(worst <= tolerance)})
 
     ok = all(c["pass"] for c in checks)
-    report = {"schema": 1, "config": _echo_config(cfg), "checks": checks,
-              "pass": ok}
-    os.makedirs(cfg["out"], exist_ok=True)
-    write_json(os.path.join(cfg["out"], "check_report.json"), report)
+    _write_summary(cfg, "check", {"checks": checks, "pass": ok})
     for c in checks:
         print("%s: %s (value %.3e vs tolerance %.3e)"
               % (c["name"], "pass" if c["pass"] else "FAIL",
@@ -275,8 +290,7 @@ def _curvature_cells(cfg, kind, pot, tv1, tv2):
     diag = report.diagnostics
     residual = max((diag[k] for k in diag if k.startswith("residual_")),
                    default=0.0)
-    bound = (dirichlet_bound(pot, report.plane[0])
-             if kind is MetricKind.DIRICHLET else "")
+    bound = report.bound() if kind is MetricKind.DIRICHLET else ""
     if kind is MetricKind.CALABI:
         oracle = 0.25
     elif kind is MetricKind.DIRICHLET and cfg["n"] == 1:
@@ -303,7 +317,7 @@ def cmd_curvature(cfg):
         bases = [[kind_name, cfg["n"], cfg["grid"], seed]
                  for kind_name in cfg["kinds"]]
         try:
-            pot, tv1, tv2 = _plane(spec, seed, cfg)
+            pot, tv1, tv2 = _seeded_state(spec, cfg, seed, 2)
         except LIBRARY_ERRORS as exc:
             failed = True
             rows.extend(base + _error_cells(exc) for base in bases)
@@ -315,43 +329,35 @@ def cmd_curvature(cfg):
                 failed = True
                 cells = _error_cells(exc)
             rows.append(base + cells)
-    os.makedirs(cfg["out"], exist_ok=True)
     write_csv(os.path.join(cfg["out"], "curvature.csv"),
               ["kind", "n", "N", "seed", "value", "bound", "residual",
                "oracle", "delta", "error"], rows)
-    write_json(os.path.join(cfg["out"], "curvature_summary.json"),
-               {"schema": 1, "config": _echo_config(cfg),
-                "rows": len(rows), "errors": int(failed)})
+    _write_summary(cfg, "curvature", {"rows": len(rows), "errors": int(failed)})
     return EXIT_FAIL if failed else EXIT_OK
 
 
 # ------------------------------------------------------------- geodesic ---
 
-def _run_state(cfg):
+def _shoot(cfg):
+    """The configured geodesic: its start (pot, tv), the stored curve, and
+    the Dirichlet speed at each stored sample."""
     spec = build_spec(cfg["n"], cfg["grid"])
-    pot = make_potential(spec, cfg["amp_phi"] * _field(spec, cfg["seed"], cfg, 0))
-    tv = project_tangent(pot, cfg["amp_psi"] * _field(spec, cfg["seed"], cfg, 1))
-    return spec, pot, tv
+    pot, tv = _seeded_state(spec, cfg, cfg["seed"], 1)
+    curve = integrate_geodesic(pot, tv, cfg["T"], cfg["dt"],
+                               store_every=cfg["store_every"])
+    speeds = curve.meta["speeds"]
+    sampled = [float(speeds[int(round(t / cfg["dt"]))]) for t in curve.times]
+    return pot, tv, curve, sampled
 
 
 def cmd_geodesic(cfg):
     """Geodesic shoot; per-sample CSV, summary with drift and optional order."""
-    spec, pot, tv = _run_state(cfg)
-    os.makedirs(cfg["out"], exist_ok=True)
-    summary = {"schema": 1, "config": _echo_config(cfg)}
-    try:
-        curve = integrate_geodesic(pot, tv, cfg["T"], cfg["dt"],
-                                   store_every=cfg["store_every"])
-        ends = []
-        for level in range(1, cfg["halvings"] + 1):
-            fine = integrate_geodesic(pot, tv, cfg["T"], cfg["dt"] / 2 ** level,
-                                      store_every=10 ** 9)
-            ends.append((fine.phis[-1], fine.psis[-1]))
-    except PositivityViolation as exc:
-        summary["error"] = str(exc)
-        summary["exit_time"] = getattr(exc, "time", None)
-        write_json(os.path.join(cfg["out"], "geodesic_summary.json"), summary)
-        return EXIT_FAIL
+    pot, tv, curve, sampled = _shoot(cfg)
+    ends = []
+    for level in range(1, cfg["halvings"] + 1):
+        fine = integrate_geodesic(pot, tv, cfg["T"], cfg["dt"] / 2 ** level,
+                                  store_every=10 ** 9)
+        ends.append((fine.phis[-1], fine.psis[-1]))
 
     speeds = curve.meta["speeds"]
     drift = float(np.max(np.abs(speeds - speeds[0])) / abs(speeds[0])) \
@@ -361,15 +367,14 @@ def cmd_geodesic(cfg):
     rows = []
     for i in range(len(curve)):
         r = resid[i - 2] if 2 <= i < 2 + resid.size else ""
-        step = int(round(curve.times[i] / cfg["dt"]))
-        rows.append([i, curve.times[i], float(speeds[step]), r])
+        rows.append([i, curve.times[i], sampled[i], r])
     write_csv(os.path.join(cfg["out"], "geodesic.csv"),
               ["index", "time", "dirichlet_speed", "equation_residual"], rows)
 
-    summary["speed_drift"] = drift
-    summary["max_residual"] = float(np.max(resid)) if resid.size else None
-    summary["energy"] = path_energy(MetricKind.DIRICHLET, curve)
-    summary["length"] = path_length(MetricKind.DIRICHLET, curve)
+    summary = {"speed_drift": drift,
+               "max_residual": float(np.max(resid)) if resid.size else None,
+               "energy": path_energy(MetricKind.DIRICHLET, curve),
+               "length": path_length(MetricKind.DIRICHLET, curve)}
     if cfg["halvings"] >= 2:
         chain = [(curve.phis[-1], curve.psis[-1])] + ends
         diffs = []
@@ -379,7 +384,7 @@ def cmd_geodesic(cfg):
         summary["order"] = float(np.log2(diffs[0] / diffs[1])) \
             if diffs[1] > 0.0 else None
         summary["halving_diffs"] = diffs
-    write_json(os.path.join(cfg["out"], "geodesic_summary.json"), summary)
+    _write_summary(cfg, "geodesic", summary)
     return EXIT_OK
 
 
@@ -387,32 +392,23 @@ def cmd_geodesic(cfg):
 
 def cmd_flow(cfg):
     """Downhill energy flow; per-sample CSV, monotonicity summary."""
-    spec = build_spec(cfg["n"], cfg["grid"])
-    pot = make_potential(spec, cfg["amp_phi"] * _field(spec, cfg["seed"], cfg, 0))
-    os.makedirs(cfg["out"], exist_ok=True)
-    summary = {"schema": 1, "config": _echo_config(cfg)}
-    try:
-        # flow_dt, not dt: the explicit gradient step is only stable below
-        # 2/lap_max, far smaller than a comfortable geodesic step
-        trace = pseudo_calabi_flow(pot, cfg["T"], cfg["flow_dt"],
-                                   nu_steps=cfg["nu_steps"],
-                                   sample_every=cfg["store_every"])
-    except PositivityViolation as exc:
-        summary["error"] = str(exc)
-        summary["exit_time"] = getattr(exc, "time", None)
-        write_json(os.path.join(cfg["out"], "flow_summary.json"), summary)
-        return EXIT_FAIL
+    [pot] = _seeded_state(build_spec(cfg["n"], cfg["grid"]), cfg, cfg["seed"], 0)
+    # flow_dt, not dt: the explicit gradient step is only stable below
+    # 2/lap_max, far smaller than a comfortable geodesic step
+    trace = pseudo_calabi_flow(pot, cfg["T"], cfg["flow_dt"],
+                               nu_steps=cfg["nu_steps"],
+                               sample_every=cfg["store_every"])
     rows = [[i, trace.times[i], trace.nu[i], trace.grad_norm[i]]
             for i in range(trace.times.size)]
     write_csv(os.path.join(cfg["out"], "flow.csv"),
               ["index", "time", "kenergy", "gradient_norm"], rows)
     increases = np.diff(trace.nu)
-    summary["max_step_increase"] = float(np.max(increases)) if increases.size else 0.0
-    summary["monotone"] = bool(np.all(increases <= 1e-10))
-    summary["final_nu"] = float(trace.nu[-1])
-    summary["gradient_shrink"] = (float(trace.grad_norm[0] / trace.grad_norm[-1])
-                                  if trace.grad_norm[-1] > 0.0 else None)
-    write_json(os.path.join(cfg["out"], "flow_summary.json"), summary)
+    _write_summary(cfg, "flow", {
+        "max_step_increase": float(np.max(increases)) if increases.size else 0.0,
+        "monotone": bool(np.all(increases <= 1e-10)),
+        "final_nu": float(trace.nu[-1]),
+        "gradient_shrink": (float(trace.grad_norm[0] / trace.grad_norm[-1])
+                            if trace.grad_norm[-1] > 0.0 else None)})
     return EXIT_OK
 
 
@@ -420,30 +416,16 @@ def cmd_flow(cfg):
 
 def cmd_energy(cfg):
     """Path energy/length of the configured geodesic; Cauchy-Schwarz gap."""
-    spec, pot, tv = _run_state(cfg)
-    os.makedirs(cfg["out"], exist_ok=True)
-    summary = {"schema": 1, "config": _echo_config(cfg)}
-    try:
-        curve = integrate_geodesic(pot, tv, cfg["T"], cfg["dt"],
-                                   store_every=cfg["store_every"])
-    except PositivityViolation as exc:
-        summary["error"] = str(exc)
-        summary["exit_time"] = getattr(exc, "time", None)
-        write_json(os.path.join(cfg["out"], "energy_summary.json"), summary)
-        return EXIT_FAIL
-    speeds = curve.meta["speeds"]
-    rows = [[i, curve.times[i],
-             float(speeds[int(round(curve.times[i] / cfg["dt"]))])]
-            for i in range(len(curve))]
+    _, _, curve, sampled = _shoot(cfg)
+    rows = [[i, curve.times[i], sampled[i]] for i in range(len(curve))]
     write_csv(os.path.join(cfg["out"], "energy.csv"),
               ["index", "time", "dirichlet_speed"], rows)
     energy = path_energy(MetricKind.DIRICHLET, curve)
     length = path_length(MetricKind.DIRICHLET, curve)
     elapsed = float(curve.times[-1] - curve.times[0])
-    summary["energy"] = energy
-    summary["length"] = length
-    summary["cauchy_schwarz_gap"] = elapsed * energy - length ** 2
-    write_json(os.path.join(cfg["out"], "energy_summary.json"), summary)
+    _write_summary(cfg, "energy", {
+        "energy": energy, "length": length,
+        "cauchy_schwarz_gap": elapsed * energy - length ** 2})
     return EXIT_OK
 
 
@@ -486,11 +468,17 @@ def main(argv=None):
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     try:
+        os.makedirs(cfg["out"], exist_ok=True)
+    except OSError as exc:
+        print("config error: cannot create out: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
+    try:
         return COMMANDS[args.command](cfg)
-    except NoConvergence as exc:
-        print("solver failure: %s" % exc, file=sys.stderr)
+    except LIBRARY_ERRORS as exc:
+        print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        _write_summary(cfg, args.command, {
+            "error": str(exc), "exit_time": getattr(exc, "time", None)})
         return EXIT_FAIL
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -50,7 +50,9 @@ class CurvatureReport:
 
     kind: MetricKind; value: the curvature; plane: the orthonormalized pair
     of tangent vectors actually used; diagnostics: dict of residuals and
-    auxiliary quantities from the intermediate solves.
+    auxiliary quantities from the intermediate solves; aux: the solved
+    auxiliary potentials a_ss, a_st, a_tt of the plane (Dirichlet only,
+    empty otherwise), so that callers need not solve them again.
     """
 
     def __init__(self, kind, value, plane, diagnostics):
@@ -58,6 +60,14 @@ class CurvatureReport:
         self.value = value
         self.plane = plane
         self.diagnostics = diagnostics
+        self.aux = {}
+
+    def bound(self):
+        """dirichlet_bound of plane[0], from the already solved a_ss."""
+        if self.kind is not MetricKind.DIRICHLET:
+            raise ValueError("only a Dirichlet report carries a bound")
+        e1 = self.plane[0]
+        return _bound(e1.base, e1.psi, self.aux["a_ss"])
 
     def __repr__(self):
         return "CurvatureReport(%s, value=%.6g)" % (self.kind.value, self.value)
@@ -103,7 +113,9 @@ def sectional(kind, pot, tv1, tv2):
         "residual_a_ss": _solve_residual(pot, a_ss, rhs_ss),
         "residual_a_tt": _solve_residual(pot, a_tt, rhs_tt),
     }
-    return CurvatureReport(kind, value, (e1, e2), diagnostics)
+    report = CurvatureReport(kind, value, (e1, e2), diagnostics)
+    report.aux.update(a_ss=a_ss, a_st=a_st, a_tt=a_tt)
+    return report
 
 
 def commutator_fd(pot, tv_psi, tv_chi, h):
@@ -164,6 +176,13 @@ def _sup_pencil_eig(pot, tensor):
     return float(np.max(np.maximum(np.abs(lam1), np.abs(lam2))))
 
 
+def _bound(pot, psi, a_ss):
+    # rho1^2/32 + rho2/8 for a Dirichlet-unit psi with a_ss = a(psi, psi)
+    rho1 = _sup_pencil_eig(pot, c_tensor(pot, psi))
+    rho2 = _sup_pencil_eig(pot, c_tensor(pot, a_ss))
+    return rho1 ** 2 / 32.0 + rho2 / 8.0
+
+
 def dirichlet_bound(pot, tv_psi):
     """A-priori bound on |K_D(psi, chi)| over all Dirichlet-unit chi.
 
@@ -172,17 +191,16 @@ def dirichlet_bound(pot, tv_psi):
     rho2/8 respectively (Cauchy-Schwarz through the divergence-free
     integration by parts; the L2 projection onto exact forms only shrinks
     norms). psi is normalized internally, so the bound depends on its
-    direction only.
+    direction only. CurvatureReport.bound gives the same number for the
+    first vector of a solved Dirichlet plane without solving a(psi, psi)
+    again.
     """
     check_anchor(pot, tv_psi)
     nrm = inner(MetricKind.DIRICHLET, pot, tv_psi, tv_psi)
     if nrm == 0.0:
         return 0.0
     psi = TangentVector(pot, tv_psi.psi / np.sqrt(nrm))
-    rho1 = _sup_pencil_eig(pot, c_tensor(pot, psi.psi))
-    a_ss = a_field(pot, psi, psi)
-    rho2 = _sup_pencil_eig(pot, c_tensor(pot, a_ss))
-    return rho1 ** 2 / 32.0 + rho2 / 8.0
+    return _bound(pot, psi.psi, a_field(pot, psi, psi))
 
 
 def poincare_constant(pot, iterations=50, tol=1e-8, seed=1):
@@ -219,15 +237,8 @@ def sign_probe(pot, tv1, tv2, const_tol=1e-9):
     no constancy holds, so no sign is implied).
     """
     report = sectional(MetricKind.DIRICHLET, pot, tv1, tv2)
-    e1, e2 = report.plane
-    a_ss = a_field(pot, e1, e1)
-    a_st = a_field(pot, e1, e2)
-    a_tt = a_field(pot, e2, e2)
-    flags = {
-        "a_ss_constant": float(np.max(np.abs(a_ss))) < const_tol,
-        "a_st_constant": float(np.max(np.abs(a_st))) < const_tol,
-        "a_tt_constant": float(np.max(np.abs(a_tt))) < const_tol,
-    }
+    flags = {"%s_constant" % name: float(np.max(np.abs(a))) < const_tol
+             for name, a in report.aux.items()}
     value = report.value
     consistent = None
     if flags["a_ss_constant"] or flags["a_tt_constant"]:

@@ -92,10 +92,10 @@ def inner(kind, pot, tv1, tv2):
 def gram_schmidt(kind, pot, vectors):
     """Orthonormalize tangent vectors under the kind-pairing.
 
-    Raises DegeneratePlane when the Gram determinant of the inputs falls
-    below 1e-12 times the product of the squared norms (numerically dependent
-    vectors span no plane). Modified Gram-Schmidt with one
-    re-orthogonalization pass.
+    Raises DegeneratePlane when a squared norm is zero or not finite, or when
+    the Gram determinant of the inputs falls below 1e-12 times the product of
+    the squared norms (numerically dependent vectors span no plane).
+    Modified Gram-Schmidt with one re-orthogonalization pass.
     """
     m = len(vectors)
     gram = np.empty((m, m))
@@ -103,6 +103,9 @@ def gram_schmidt(kind, pot, vectors):
         for j in range(i, m):
             gram[i, j] = gram[j, i] = inner(kind, pot, vectors[i], vectors[j])
     norms_sq = np.diag(gram)
+    if not np.all((norms_sq > 0.0) & np.isfinite(norms_sq)):
+        raise DegeneratePlane("squared norms %s: a zero or non-finite vector"
+                              % norms_sq.tolist())
     if np.linalg.det(gram) < 1e-12 * float(np.prod(norms_sq)):
         raise DegeneratePlane(
             "Gram determinant %.3e below degeneracy threshold"

@@ -316,20 +316,16 @@ def green_solve(pot, v, tol=1e-10, maxiter=None, tol_mean=1e-8, atol_floor=1e-12
         maxiter = 10 * spec.nodes
 
     e_u = pot.e_u
-    nodes = spec.nodes
 
     def apply_op(w):
         return -laplacian(pot, w)
-
-    def wmean(f):
-        return float(np.sum(f * e_u) / nodes)
 
     if x0 is None:
         x = np.zeros(spec.shape)
         r = b.copy()
     else:
         x = np.asarray(x0, dtype=float).copy()
-        x -= wmean(x)
+        x -= pot.eu_mean(x)
         r = b - apply_op(x)
     p = None
     rz_old = 0.0
@@ -342,7 +338,7 @@ def green_solve(pot, v, tol=1e-10, maxiter=None, tol_mean=1e-8, atol_floor=1e-12
             if rn <= tol * bnorm:
                 break
         z = _flat_inverse(spec, e_u * r)
-        z -= wmean(z)
+        z -= pot.eu_mean(z)
         rz = float(np.sum(r * z * e_u))
         if rz <= 0.0:
             # strictly positive for any SPD operator/preconditioner pair
@@ -362,12 +358,12 @@ def green_solve(pot, v, tol=1e-10, maxiter=None, tol_mean=1e-8, atol_floor=1e-12
                 iterations=it, residual=rn / bnorm)
         alpha = rz / denom
         x += alpha * p
-        x -= wmean(x)
+        x -= pot.eu_mean(x)
         r -= alpha * ap
     else:
         rn = float(np.sqrt(np.sum(r * r)))
         raise NoConvergence(
             "no convergence in %d iterations (residual %.3e)" % (maxiter, rn / bnorm),
             iterations=maxiter, residual=rn / bnorm)
-    x -= wmean(x)
+    x -= pot.eu_mean(x)
     return x

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kgeo.cli
+import kgeo.curvature
 import kgeo.metrics
 import kgeo.state
 from kgeo.cli import (
@@ -77,11 +78,19 @@ def test_config_file_and_overrides(tmp_path):
     {"planes": 0},
     {"store_every": 3, "T": 0.05, "dt": 0.01},  # does not divide 5 steps
     {"seed": -1},
+    {"grid": 16.0},
+    {"n": True},
+    {"planes": True},
+    {"kmax": True},
+    {"amp_phi": True},
+    {"tolerances": {"green_roundtrip": True}},
+    {"amp_phi": 10 ** 400},
 ])
 def test_config_rejections(tmp_path, bad):
     path = _write_cfg(tmp_path, **bad)
     with pytest.raises(ConfigError):
         load_config(path)
+    assert main(["check", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_config_unreadable_and_invalid(tmp_path):
@@ -101,6 +110,13 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     path = _write_cfg(tmp_path, grid=8)
     code = main(["check", "--config", path])
     assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_main_out_not_a_directory(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["check", "--out", str(blocker)]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -150,6 +166,86 @@ def test_check_catches_tampered_operator(tmp_path, monkeypatch):
     report = _read_json(out, "check_report.json")
     failed = {c["name"] for c in report["checks"] if not c["pass"]}
     assert "laplacian_self_adjoint" in failed
+
+
+def test_check_nan_fails_its_check(tmp_path, monkeypatch):
+    # max() keeps or drops a NaN by its position; the check must fail
+    calls = []
+    true_div = kgeo.cli.c_divergence
+
+    def nan_on_second_plane(pot, f):
+        calls.append(1)
+        return float("nan") if len(calls) == 2 else true_div(pot, f)
+
+    monkeypatch.setattr(kgeo.cli, "c_divergence", nan_on_second_plane)
+    out = str(tmp_path / "out")
+    assert main(["check", "--out", out]) == 1
+    report = _read_json(out, "check_report.json")
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["ctensor_divergence_free"]
+    assert np.isnan(failed[0]["value"])
+
+
+def test_check_zero_plane_fails_with_report(tmp_path):
+    # amp_psi = 0 gives zero tangent vectors: no plane to take a curvature of
+    path = _write_cfg(tmp_path, amp_psi=0.0)
+    out = str(tmp_path / "out")
+    assert main(["check", "--config", path, "--out", out]) == 1
+    report = _read_json(out, "check_report.json")
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert failed == {"calabi_constant", "mabuchi_nonpositive",
+                      "dirichlet_dim1_flatness"}
+
+
+def _count_make_potential(monkeypatch):
+    calls = []
+    true_make = kgeo.cli.make_potential
+
+    def counting(spec, phi):
+        calls.append(spec)
+        return true_make(spec, phi)
+
+    monkeypatch.setattr(kgeo.cli, "make_potential", counting)
+    return calls
+
+
+def _count_green_solves(monkeypatch):
+    calls = []
+    true_solve = kgeo.state.green_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return true_solve(*args, **kwargs)
+
+    for module in (kgeo.cli, kgeo.curvature, kgeo.metrics):
+        monkeypatch.setattr(module, "green_solve", counting)
+    return calls
+
+
+def test_check_builds_each_plane_once(tmp_path, monkeypatch):
+    calls = _count_make_potential(monkeypatch)
+    assert main(["check", "--n", "1", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 5
+
+
+def test_check_dim2_solves_once_per_auxiliary_potential(tmp_path, monkeypatch):
+    # one round-trip solve and the three a-solves of the Dirichlet plane;
+    # the bound reuses a(psi, psi)
+    calls = _count_green_solves(monkeypatch)
+    path = _write_cfg(tmp_path, n=2, planes=1)
+    assert main(["check", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("command", ["check", "flow", "geodesic", "energy"])
+def test_library_error_exits_with_summary(tmp_path, command):
+    path = _write_cfg(tmp_path, amp_phi=5.0)
+    out = str(tmp_path / "out")
+    assert main([command, "--config", path, "--out", out]) == 1
+    summary = _read_json(out, kgeo.cli.SUMMARY_FILES[command])
+    assert summary["error"].startswith("metric not positive definite")
+    assert summary["exit_time"] is None
+    assert summary["config"]["amp_phi"] == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +320,30 @@ def test_curvature_plane_error_fills_every_kind(tmp_path):
 
 
 def test_curvature_builds_each_plane_once(tmp_path, monkeypatch):
-    calls = []
-    true_make = kgeo.cli.make_potential
-
-    def counting(spec, phi):
-        calls.append(spec)
-        return true_make(spec, phi)
-
-    monkeypatch.setattr(kgeo.cli, "make_potential", counting)
+    calls = _count_make_potential(monkeypatch)
     path = _write_cfg(tmp_path, planes=3)
     out = str(tmp_path / "out")
     assert main(["curvature", "--config", path, "--out", out]) == 0
     assert len(calls) == 3
+
+
+def test_curvature_solves_each_auxiliary_potential_once(tmp_path, monkeypatch):
+    calls = _count_green_solves(monkeypatch)
+    path = _write_cfg(tmp_path, n=2, planes=1, kinds=["Dirichlet"])
+    out = str(tmp_path / "out")
+    assert main(["curvature", "--config", path, "--out", out]) == 0
+    assert len(calls) == 3
+    row = _read_csv(out, "curvature.csv")[1]
+    assert float(row[5]) >= abs(float(row[4]))  # bound dominates
+
+
+def test_curvature_zero_plane_is_an_error_row(tmp_path):
+    path = _write_cfg(tmp_path, planes=2, amp_psi=0.0)
+    out = str(tmp_path / "out")
+    assert main(["curvature", "--config", path, "--out", out]) == 1
+    body = _read_csv(out, "curvature.csv")[1:]
+    assert len(body) == 2 * 3
+    assert all(r[4] == "" and r[9].startswith("DegeneratePlane: ") for r in body)
 
 
 def test_curvature_fd_oracle_dim2(tmp_path):

@@ -16,6 +16,9 @@ g = (1/2) I, Dirichlet norm of cos(2 pi x_1) equal to sqrt(2 pi^2)):
 import numpy as np
 import pytest
 
+import kgeo.curvature
+import kgeo.metrics
+import kgeo.state
 from kgeo.torus import build_spec, random_field
 from kgeo.state import make_potential, project_tangent
 from kgeo.metrics import MetricKind
@@ -175,6 +178,35 @@ def test_dirichlet_bound_scale_invariant_and_zero(curved2):
     assert dirichlet_bound(curved2, zero) == 0.0
 
 
+def _count_green_solves(monkeypatch):
+    calls = []
+    true_solve = kgeo.state.green_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return true_solve(*args, **kwargs)
+
+    for module in (kgeo.curvature, kgeo.metrics):
+        monkeypatch.setattr(module, "green_solve", counting)
+    return calls
+
+
+def test_report_bound_reuses_solved_a_ss(curved2, monkeypatch):
+    tv1, tv2 = _tv(curved2, 611), _tv(curved2, 711)
+    rep = sectional(MetricKind.DIRICHLET, curved2, tv1, tv2)
+    assert sorted(rep.aux) == ["a_ss", "a_st", "a_tt"]
+    calls = _count_green_solves(monkeypatch)
+    bound = rep.bound()
+    assert calls == []
+    assert bound == pytest.approx(dirichlet_bound(curved2, rep.plane[0]),
+                                  rel=1e-12)
+    for kind in (MetricKind.MABUCHI, MetricKind.CALABI):
+        other = sectional(kind, curved2, tv1, tv2)
+        assert other.aux == {}
+        with pytest.raises(ValueError):
+            other.bound()
+
+
 # ---------------------------------------------------------------------------
 # Spectral gap
 
@@ -210,3 +242,9 @@ def test_sign_probe_generic_plane_is_inconclusive(curved2):
     probe = sign_probe(curved2, _tv(curved2, 901), _tv(curved2, 902))
     assert probe["a_st_constant"] is False
     assert probe["sign_consistent"] is None
+
+
+def test_sign_probe_solves_each_auxiliary_potential_once(curved2, monkeypatch):
+    calls = _count_green_solves(monkeypatch)
+    sign_probe(curved2, _tv(curved2, 903), _tv(curved2, 904))
+    assert len(calls) == 3

@@ -137,9 +137,10 @@ def test_gram_schmidt_orthonormal(curved2):
 
 def test_gram_schmidt_degenerate(curved2):
     v = tv(curved2, 113)
-    w = TangentVector(curved2, 2.0 * v.psi)
-    with pytest.raises(DegeneratePlane):
-        gram_schmidt(MetricKind.DIRICHLET, curved2, [v, w])
+    for scale in (2.0, 0.0):  # a parallel vector; the zero vector
+        w = TangentVector(curved2, scale * v.psi)
+        with pytest.raises(DegeneratePlane):
+            gram_schmidt(MetricKind.DIRICHLET, curved2, [v, w])
 
 
 # ---------------------------------------------------- auxiliary potential --
