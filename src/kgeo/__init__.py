@@ -25,7 +25,8 @@ from .curvature import (CurvatureReport, sectional, commutator_fd,
 from .dynamics import (Curve, FlowTrace, path_energy, path_length,
                        geodesic_rhs, integrate_geodesic, geodesic_residual,
                        scalar_curvature, kenergy_gradient, kenergy,
-                       kenergy_second_derivative, pseudo_calabi_flow)
+                       kenergy_quadrature, kenergy_second_derivative,
+                       pseudo_calabi_flow)
 
 __version__ = "0.1.0"
 
@@ -43,7 +44,7 @@ __all__ = [
     "poincare_constant", "sign_probe",
     "Curve", "FlowTrace", "path_energy", "path_length", "geodesic_rhs",
     "integrate_geodesic", "geodesic_residual", "scalar_curvature",
-    "kenergy_gradient", "kenergy", "kenergy_second_derivative",
-    "pseudo_calabi_flow",
+    "kenergy_gradient", "kenergy", "kenergy_quadrature",
+    "kenergy_second_derivative", "pseudo_calabi_flow",
     "__version__",
 ]

@@ -5,9 +5,11 @@ overrides, and writes CSV data plus a JSON summary into the output
 directory. Outputs are deterministic: equal configs give byte-identical
 files (fixed seeds, fixed loop order, 17-digit reals, sorted JSON keys, no
 timestamps). Exit codes: 0 success, 1 invariant or experiment failure,
-2 config error. A library error (non-positive metric, unsolvable source,
-solver breakdown, degenerate plane) that a command does not record itself
-exits 1 after writing the command's summary with `error` and `exit_time`.
+2 config error, which includes a run refused before any work because it
+would take more than MAX_STEPS steps or more than the machine's physical
+memory. A library error (non-positive metric, unsolvable source, solver
+breakdown, degenerate plane) that a command does not record itself exits 1
+after writing the command's summary with `error` and `exit_time`.
 """
 
 import argparse
@@ -25,7 +27,7 @@ from .state import (make_potential, project_tangent, green_solve, ma_cross,
 from .metrics import MetricKind, DegeneratePlane
 from .curvature import sectional, commutator_fd
 from .dynamics import (integrate_geodesic, geodesic_residual, path_energy,
-                       path_length, pseudo_calabi_flow)
+                       path_length, pseudo_calabi_flow, kenergy_quadrature)
 from .fieldio import write_csv, write_json
 
 __all__ = ["ConfigError", "load_config", "cmd_check", "cmd_curvature",
@@ -50,6 +52,15 @@ SUMMARY_FILES = {
 KIND_NAMES = {"Dirichlet": MetricKind.DIRICHLET,
               "Mabuchi": MetricKind.MABUCHI,
               "Calabi": MetricKind.CALABI}
+
+# the most time steps one integration may take
+MAX_STEPS = 10 ** 6
+
+# Estimated peak memory per grid node: 1 KiB for the potentials, tensors and
+# solver work fields (n=2 N=32 runs peaked at 581-853 MB on 2^20 nodes),
+# plus phi and psi of every stored geodesic sample.
+BYTES_PER_NODE = 1024
+BYTES_PER_NODE_SAMPLE = 16
 
 DEFAULT_TOLERANCES = {
     "laplacian_self_adjoint": 1e-10,
@@ -106,6 +117,22 @@ def _is_real(value):
             and abs(value) <= sys.float_info.max)
 
 
+def _step_count(T, dt, name):
+    # T and dt are validated positive reals; their ratio may still overflow
+    steps = T / dt
+    _require(np.isfinite(steps) and round(steps) <= MAX_STEPS,
+             "T/%s must round to at most %d steps" % (name, MAX_STEPS))
+    return int(round(steps))
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def load_config(path=None, overrides=None):
     """Merge defaults, an optional JSON file and CLI overrides; validate."""
     cfg = {k: (dict(v) if isinstance(v, dict) else
@@ -149,7 +176,8 @@ def load_config(path=None, overrides=None):
              "kmax must be null or a positive integer")
     _require(_is_int(cfg["store_every"]) and cfg["store_every"] >= 1,
              "store_every must be a positive integer")
-    nsteps = int(round(cfg["T"] / cfg["dt"]))
+    nsteps = _step_count(cfg["T"], cfg["dt"], "dt")
+    _step_count(cfg["T"], cfg["flow_dt"], "flow_dt")
     _require(cfg["store_every"] > nsteps or nsteps % cfg["store_every"] == 0,
              "store_every must divide round(T/dt) or exceed it")
     _require(_is_int(cfg["halvings"]) and 0 <= cfg["halvings"] <= 4,
@@ -163,6 +191,19 @@ def load_config(path=None, overrides=None):
         _require(_is_real(value) and value >= 0.0,
                  "tolerance %r must be a finite number >= 0" % (name,))
     _require(isinstance(cfg["out"], str) and cfg["out"], "out must be a path")
+
+    # stored geodesic samples: every store_every-th step, or the endpoints
+    samples = (2 if cfg["store_every"] > nsteps
+               else nsteps // cfg["store_every"] + 1)
+    need = cfg["grid"] ** (2 * cfg["n"]) * (BYTES_PER_NODE
+                                             + BYTES_PER_NODE_SAMPLE * samples)
+    have = _physical_memory()
+    if have is not None:
+        _require(need <= have,
+                 "n=%d, grid=%d with %d stored samples needs an estimated "
+                 "%.1f GiB, more than the %.1f GiB of physical memory"
+                 % (cfg["n"], cfg["grid"], samples, need / 2 ** 30,
+                    have / 2 ** 30))
     return cfg
 
 
@@ -396,8 +437,11 @@ def cmd_flow(cfg):
     # flow_dt, not dt: the explicit gradient step is only stable below
     # 2/lap_max, far smaller than a comfortable geodesic step
     trace = pseudo_calabi_flow(pot, cfg["T"], cfg["flow_dt"],
-                               nu_steps=cfg["nu_steps"],
                                sample_every=cfg["store_every"])
+    # resolution diagnostic: the path-integral oracle against the closed
+    # form at the initial state (they differ by aliasing on full-band fields)
+    nu0 = float(trace.nu[0])
+    quad = kenergy_quadrature(pot, steps=cfg["nu_steps"])
     rows = [[i, trace.times[i], trace.nu[i], trace.grad_norm[i]]
             for i in range(trace.times.size)]
     write_csv(os.path.join(cfg["out"], "flow.csv"),
@@ -407,6 +451,7 @@ def cmd_flow(cfg):
         "max_step_increase": float(np.max(increases)) if increases.size else 0.0,
         "monotone": bool(np.all(increases <= 1e-10)),
         "final_nu": float(trace.nu[-1]),
+        "nu_quadrature_gap": abs(quad - nu0) / abs(nu0) if nu0 != 0.0 else 0.0,
         "gradient_shrink": (float(trace.grad_norm[0] / trace.grad_norm[-1])
                             if trace.grad_norm[-1] > 0.0 else None)})
     return EXIT_OK

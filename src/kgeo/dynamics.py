@@ -13,11 +13,16 @@ geodesics are straight lines in potential space.
 The energy functional nu is the path integral of (d phi_t, d f)_g e^u along
 t -> t phi from the flat base (nu(0) = 0), where f is the mean-zero solution
 of lap_phi f = S and S = -lap_phi u is the scalar curvature of the evolved
-metric (the background is Ricci-flat, so the mean of S vanishes). Its
-Dirichlet gradient is f itself; the downhill flow phi_t = -f is stepped
-explicitly. All time-dependent diagnostics (conservation drift, equation
-residuals) are reported per time sample so refinement studies can read off
-convergence orders.
+metric (the background is Ricci-flat, so the mean of S vanishes). For the
+same reason Chen's formula reduces the integral to its entropy term,
+nu(phi) = 2 mean(u e^u) (Mabuchi 1986; Chen 2000), which kenergy evaluates
+from the potential's own conformal factor. kenergy_quadrature keeps the path
+integral itself, by Gauss-Legendre quadrature, as the oracle; the two agree
+to roundoff on band-limited fields and differ by the aliasing of the discrete
+path integral on full-band ones. The Dirichlet gradient of nu is f itself;
+the downhill flow phi_t = -f is stepped explicitly. All time-dependent
+diagnostics (conservation drift, equation residuals) are reported per time
+sample so refinement studies can read off convergence orders.
 """
 
 import numpy as np
@@ -39,6 +44,7 @@ __all__ = [
     "scalar_curvature",
     "kenergy_gradient",
     "kenergy",
+    "kenergy_quadrature",
     "kenergy_second_derivative",
     "pseudo_calabi_flow",
 ]
@@ -322,7 +328,21 @@ def kenergy_gradient(pot):
     return TangentVector(pot, f)
 
 
-def kenergy(phi_or_pot, steps=12):
+def kenergy(pot):
+    """Energy functional in closed form: nu(phi) = 2 mean(u e^u).
+
+    On a Ricci-flat background Chen's formula for the path integral along
+    t -> t*phi reduces to its entropy term; the conformal factor u is part
+    of the potential, so no potential is rebuilt and nothing is solved. The
+    value at the flat base is exactly 0. kenergy_quadrature evaluates the
+    path integral itself.
+    """
+    if not isinstance(pot, KahlerPotential):
+        raise TypeError("kenergy expects a KahlerPotential")
+    return 2.0 * pot.eu_mean(pot.u)
+
+
+def kenergy_quadrature(phi_or_pot, steps=12):
     """Energy functional by Gauss-Legendre quadrature along t -> t*phi.
 
     The integrand at t is (d phi, d f)_g e^u integrated over the torus at
@@ -330,11 +350,14 @@ def kenergy(phi_or_pot, steps=12):
     -2 * mean(phi * S * e^u) — no Green solves. Straight segments from the
     flat base stay positive (the space is convex), but each node is rebuilt
     through the positivity check anyway. The value at the flat base is 0.
+    This is the oracle for kenergy: on full-band fields the two differ by
+    the aliasing of the discrete path integral, so their gap is a
+    resolution diagnostic.
     """
     if isinstance(phi_or_pot, KahlerPotential):
         spec, phi = phi_or_pot.spec, phi_or_pot.phi
     else:
-        raise TypeError("kenergy expects a KahlerPotential")
+        raise TypeError("kenergy_quadrature expects a KahlerPotential")
     nodes, weights = np.polynomial.legendre.leggauss(int(steps))
     # map [-1, 1] -> [0, 1]
     nodes = 0.5 * (nodes + 1.0)
@@ -374,14 +397,16 @@ def kenergy_second_derivative(pot, tv):
     return pot.eu_mean(2.0 * d2 + quad)
 
 
-def pseudo_calabi_flow(pot0, T, dt, nu_steps=12, sample_every=1):
+def pseudo_calabi_flow(pot0, T, dt, sample_every=1):
     """Downhill flow of the energy functional: phi <- phi - dt * f.
 
     Explicit stepping with re-gauging through make_potential each step; the
     trace records the energy value and the Dirichlet norm of the gradient at
     every sample_every-th step (plus the initial and final states). The
-    energy is evaluated by fresh quadrature (kenergy), not from the flow's
-    own increments, so monotonicity checks are independent of the stepper.
+    energy is evaluated from each sampled state in closed form (kenergy),
+    not from the flow's own increments, so monotonicity checks are
+    independent of the stepper. The quadrature oracle is not run here;
+    kgeo flow reports its gap to kenergy at the initial state.
     """
     if dt <= 0.0 or T < dt:
         raise ValueError("need 0 < dt <= T")
@@ -389,7 +414,7 @@ def pseudo_calabi_flow(pot0, T, dt, nu_steps=12, sample_every=1):
     nsteps = int(round(T / dt))
     pot = pot0
     times = [0.0]
-    nus = [kenergy(pot, steps=nu_steps)]
+    nus = [kenergy(pot)]
     grad = kenergy_gradient(pot)
     norms = [np.sqrt(max(inner(MetricKind.DIRICHLET, pot, grad, grad), 0.0))]
     warm = grad.psi
@@ -407,8 +432,8 @@ def pseudo_calabi_flow(pot0, T, dt, nu_steps=12, sample_every=1):
         grad = TangentVector(pot, f)
         if (step + 1) % sample_every == 0 or step + 1 == nsteps:
             times.append(t)
-            nus.append(kenergy(pot, steps=nu_steps))
+            nus.append(kenergy(pot))
             norms.append(np.sqrt(max(
                 inner(MetricKind.DIRICHLET, pot, grad, grad), 0.0)))
-    meta = {"dt": dt, "nu_steps": nu_steps, "sample_every": sample_every}
+    meta = {"dt": dt, "sample_every": sample_every}
     return FlowTrace(times, nus, norms, meta=meta)

@@ -85,12 +85,38 @@ def test_config_file_and_overrides(tmp_path):
     {"amp_phi": True},
     {"tolerances": {"green_roundtrip": True}},
     {"amp_phi": 10 ** 400},
+    {"T": 1e300, "dt": 1e-300},  # T/dt overflows to inf
+    {"T": 1e300, "dt": 1e299, "flow_dt": 1e-300},  # so does T/flow_dt
+    {"T": 1.0, "dt": 1e-7},  # 10**7 steps
+    {"T": 1.0, "dt": 0.5, "flow_dt": 1e-7},
 ])
 def test_config_rejections(tmp_path, bad):
     path = _write_cfg(tmp_path, **bad)
     with pytest.raises(ConfigError):
         load_config(path)
     assert main(["check", "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_config_memory_budget(tmp_path, monkeypatch, capsys):
+    # refused from the estimate alone: nothing is built
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(kgeo.cli, "build_spec", no_work)
+    monkeypatch.setattr(kgeo.cli, "_physical_memory", lambda: 8 * 2 ** 30)
+    out = str(tmp_path / "out")
+    with pytest.raises(ConfigError, match="GiB"):
+        load_config(None, {"n": 2, "grid": 128})
+    for command in ("check", "curvature", "geodesic", "flow", "energy"):
+        assert main([command, "--n", "2", "--grid", "128", "--out", out]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    # stored geodesic samples count too: n=1 N=128 fits with the default
+    # 11 samples, not with 10**5 + 1
+    assert load_config(None, {"grid": 128})["grid"] == 128
+    path = _write_cfg(tmp_path, T=1.0, dt=1e-5)
+    with pytest.raises(ConfigError):
+        load_config(path, {"grid": 128})
+    assert load_config(path)["grid"] == 16
 
 
 def test_config_unreadable_and_invalid(tmp_path):
@@ -406,6 +432,7 @@ def test_flow_from_flat_start(tmp_path):
     summary = _read_json(out, "flow_summary.json")
     assert summary["monotone"] is True
     assert summary["final_nu"] == 0.0
+    assert summary["nu_quadrature_gap"] == 0.0
     assert summary["gradient_shrink"] is None
     rows = _read_csv(out, "flow.csv")
     assert all(float(r[2]) == 0.0 for r in rows[1:])
@@ -418,6 +445,19 @@ def test_flow_monotone_seeded(tmp_path):
     summary = _read_json(out, "flow_summary.json")
     assert summary["monotone"] is True
     assert summary["max_step_increase"] <= 1e-10
+    # in dimension one the quadrature oracle agrees with the closed form
+    assert summary["nu_quadrature_gap"] <= 1e-13
+
+
+def test_flow_quadrature_gap_dim2(tmp_path):
+    # the n=2 default state is full-band, so the oracle's aliasing shows
+    path = _write_cfg(tmp_path, n=2, T=0.001, dt=0.001, flow_dt=0.0005)
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["flow", "--config", path, "--out", out1]) == 0
+    gap = _read_json(out1, "flow_summary.json")["nu_quadrature_gap"]
+    assert np.isfinite(gap) and 0.0 < gap <= 1e-2
+    assert main(["flow", "--config", path, "--out", out2]) == 0
+    assert _read_json(out2, "flow_summary.json")["nu_quadrature_gap"] == gap
 
 
 def test_energy_zero_velocity(tmp_path):

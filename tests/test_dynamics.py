@@ -29,6 +29,7 @@ from kgeo.dynamics import (
     geodesic_rhs,
     integrate_geodesic,
     kenergy,
+    kenergy_quadrature,
     kenergy_second_derivative,
     path_energy,
     path_length,
@@ -253,11 +254,11 @@ def test_kenergy_positive_off_flat(pot2):
 
 
 def test_kenergy_segment_additivity(pot2):
-    whole = kenergy(pot2)
+    whole = kenergy_quadrature(pot2)
     half = make_potential(pot2.spec, 0.5 * pot2.phi)
     # nu along t*phi: value at t=1 equals value at t=1/2 plus the remaining
     # segment, evaluated by the same quadrature on [1/2, 1] via rescaling
-    seg1 = kenergy(half)
+    seg1 = kenergy_quadrature(half)
     seg2 = _kenergy_segment(pot2, 0.5, 1.0)
     assert abs(seg1 + seg2 - whole) <= 1e-12 * max(1.0, abs(whole))
 
@@ -274,9 +275,28 @@ def _kenergy_segment(pot, t0, t1, steps=12):
     return total
 
 
+def test_kenergy_closed_form_matches_quadrature(spec1, spec2):
+    # Chen's formula holds for the discrete path integral wherever the grid
+    # resolves every product along the path: in dimension one (e^u is affine
+    # in phi) and on kmax=3 fields at N=16. Full-band n=2 fields alias
+    # (measured gap <= 8.3e-4 on these seeds), which the closed form does
+    # not see.
+    for seed in (61, 62, 63):
+        resolved = [make_potential(spec1, 0.01 * random_field(spec1, seed=seed)),
+                    make_potential(spec2, 0.004 * random_field(spec2, seed=seed,
+                                                               kmax=3))]
+        for pot in resolved:
+            quad = kenergy_quadrature(pot)
+            assert abs(kenergy(pot) - quad) <= 1e-13 * abs(quad)
+        full = make_potential(spec2, 0.004 * random_field(spec2, seed=seed))
+        quad = kenergy_quadrature(full)
+        assert abs(kenergy(full) - quad) <= 1e-2 * abs(quad)
+
+
 def test_kenergy_rejects_raw_arrays(spec2):
-    with pytest.raises(TypeError):
-        kenergy(np.zeros(spec2.shape))
+    for energy in (kenergy, kenergy_quadrature):
+        with pytest.raises(TypeError):
+            energy(np.zeros(spec2.shape))
 
 
 def test_kenergy_second_derivative_flat_anchor(flat2):
