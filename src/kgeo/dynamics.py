@@ -158,6 +158,20 @@ def geodesic_rhs(pot, tv, x0=None):
     return TangentVector(pot, acc)
 
 
+def _step_count(T, dt):
+    """Number of fixed steps dt over [0, T]: round(T/dt).
+
+    Raises ValueError unless 0 < dt <= T and T/dt is finite (T = 1e300 with
+    dt = 1e-300 overflows to inf).
+    """
+    if dt <= 0.0 or T < dt:
+        raise ValueError("need 0 < dt <= T")
+    ratio = T / dt
+    if not np.isfinite(ratio):
+        raise ValueError("T/dt = %r is not finite" % (ratio,))
+    return int(round(ratio))
+
+
 def integrate_geodesic(pot0, tv0, T, dt, store_every=1):
     """Integrate the geodesic through (pot0, tv0) over [0, T] at fixed dt.
 
@@ -174,10 +188,8 @@ def integrate_geodesic(pot0, tv0, T, dt, store_every=1):
     the stored samples (the last sample is always kept).
     """
     check_anchor(pot0, tv0)
-    if dt <= 0.0 or T < dt:
-        raise ValueError("need 0 < dt <= T")
     spec = pot0.spec
-    nsteps = int(round(T / dt))
+    nsteps = _step_count(T, dt)
     store_every = int(store_every)
     if store_every < 1:
         raise ValueError("store_every must be a positive integer")
@@ -408,10 +420,8 @@ def pseudo_calabi_flow(pot0, T, dt, sample_every=1):
     independent of the stepper. The quadrature oracle is not run here;
     kgeo flow reports its gap to kenergy at the initial state.
     """
-    if dt <= 0.0 or T < dt:
-        raise ValueError("need 0 < dt <= T")
     spec = pot0.spec
-    nsteps = int(round(T / dt))
+    nsteps = _step_count(T, dt)
     pot = pot0
     times = [0.0]
     nus = [kenergy(pot)]

@@ -16,25 +16,36 @@ fields (complex Hessians, metric tensors) are complex arrays of shape
 
 Kernels that map real fields to real fields (dealiasing, the flat Laplacian
 and its inverse, seeded fields, the parts of the complex Hessian) run on the
-half spectrum of numpy.fft.rfftn: every axis but the last keeps its N
-frequencies, the last keeps 0..N/2. Frequencies follow fftfreq, so the
-Nyquist frequency of every axis, the last included, is -N/2. A symbol s is
-applied as its Hermitian-even part (s(K) + conj s(-K mod N))/2, which turns a
-real field into a real field; a complex result such as f_{1 2bar} is split
-into the fields of the even part and of the odd part (s(K) - conj
-s(-K mod N))/(2i), its real and imaginary parts. Away from the Nyquist
-planes these are Re s and Im s; on them -K mod N keeps the Nyquist
+half spectrum of rfft: the last grid axis keeps frequencies 0..N/2 and is
+stored first, every other axis keeps its N frequencies in grid order, so
+the layout is that of np.moveaxis(numpy.fft.rfftn(f), -1, 0). rfft and
+irfft do not call numpy.fft: each is a product of the field with one small
+dense DFT matrix per grid axis, real on the halved axis and complex on the
+others, built once per TorusSpec and applied by numpy.matmul as stacks of
+GEMMs small enough for BLAS to run on the calling thread (at n = 1, N = 128
+the complex products shrink to matrix-vector products, which OpenBLAS may
+split over threads). Their bytes do not depend on the BLAS thread count.
+At n = 2, N = 16 and at n = 1, N <= 32 they are faster than numpy.fft's
+per-axis passes. Frequencies follow fftfreq, so the
+Nyquist frequency of every axis, the halved one included, is -N/2. A
+symbol s is applied as its Hermitian-even part (s(K) + conj s(-K mod N))/2,
+which turns a real field into a real field; a complex result such as
+f_{1 2bar} is split into the fields of the even part and of the odd part
+(s(K) - conj s(-K mod N))/(2i), its real and imaginary parts. Away from the
+Nyquist planes these are Re s and Im s; on them -K mod N keeps the Nyquist
 component, so the parts match the complex transform of the full symbol to
 roundoff on full-band fields too. The symbol tables are built once per
-TorusSpec from the per-axis frequency arrays. Every transform passes its
-axes explicitly; kernels with complex output (gradient_z,
-holomorphic_hessian) keep one complex transform pair.
+TorusSpec from the per-axis frequency arrays, laid out like the half
+spectrum. Kernels with complex output (gradient_z, holomorphic_hessian)
+keep one numpy.fft complex transform pair over every axis.
 
 Dealiasing uses the 2/3 rule with per-axis integer cutoff N//3; because N is a
 power of two, triple products of dealiased fields stay strictly below the grid
 bandwidth, which makes the node-mean quadrature of the package's integral
 identities exact to roundoff.
 """
+
+import functools
 
 import numpy as np
 
@@ -75,19 +86,23 @@ class TorusSpec:
         self.cutoff = self.N // 3
 
         # broadcastable frequency arrays, one per real axis, on the full grid
-        # (complex transforms) and on the rfftn half spectrum
-        self.axes = tuple(range(self.dim_real))
-        self.half_shape = self.shape[:-1] + (self.N // 2 + 1,)
+        # (complex transforms) and on the half spectrum of rfft, which stores
+        # the halved last grid axis first: grid axis j < 2n-1 sits at
+        # position j+1 there, and the last one at position 0
+        self.half_shape = (self.N // 2 + 1,) + self.shape[:-1]
         freq = []
         half = []
         for ax in range(self.dim_real):
             sh = [1] * self.dim_real
             sh[ax] = self.N
             freq.append(self.axis_freq.reshape(sh))
-            sh[ax] = self.half_shape[ax]
-            half.append(self.axis_freq[:sh[ax]].reshape(sh).astype(np.float64))
+            pos = (ax + 1) % self.dim_real
+            sh = [1] * self.dim_real
+            sh[pos] = self.half_shape[pos]
+            half.append(self.axis_freq[:sh[pos]].reshape(sh).astype(np.float64))
         self._freq = freq
         self._half_freq = half
+        self._dft = _dft_tables(self.N)
 
         # sigma_j = pi (m_j + i k_j): symbol of d/dz_j (axis j is x_j, axis n+j is y_j)
         self.sigma = [np.pi * (self._freq[self.n + j] + 1j * self._freq[j])
@@ -179,14 +194,126 @@ def build_spec(n, N):
     return TorusSpec(n, N)
 
 
+def _dft_tables(N):
+    """DFT matrices of one grid axis of N nodes, as rfft and irfft apply them.
+
+    Returns (r2c, c2c, c2c_inv, c2r):
+    r2c      (N, N+2) real: a real signal times r2c is its half spectrum,
+             with real and imaginary parts interleaved (cos, -sin columns);
+    c2c      (N, N) complex: exp(-2 pi i j k / N);
+    c2c_inv  (N, N) complex: exp(2 pi i j k / N) / N;
+    c2r      (N+2, N) real: an interleaved half spectrum times c2r is the
+             real signal; frequencies 1..N/2-1 count twice, for their mirror
+             images, and the imaginary parts of frequencies 0 and N/2 drop.
+    Angles are reduced to j k mod N in integers, so the entries that are
+    0 or +-1 are exact.
+    """
+    half_len = N // 2 + 1
+    turns = np.outer(np.arange(N), np.arange(N)) % N
+    angle = (2.0 * np.pi / N) * turns
+    cos = np.cos(angle)
+    sin = np.sin(angle)
+    cos[turns % (N // 2) == N // 4] = 0.0
+    sin[turns % (N // 2) == 0] = 0.0
+    r2c = np.empty((N, 2 * half_len))
+    r2c[:, 0::2] = cos[:, :half_len]
+    r2c[:, 1::2] = -sin[:, :half_len]
+    weight = np.full((half_len, 1), 2.0 / N)
+    weight[[0, -1]] = 1.0 / N
+    c2r = np.empty((2 * half_len, N))
+    c2r[0::2] = weight * cos[:half_len]
+    c2r[1::2] = -weight * sin[:half_len]
+    return r2c, cos - 1j * sin, (cos + 1j * sin) / N, c2r
+
+
+# Real multiply-adds per GEMM of a transform (a complex one counts 4). From
+# 2^16 complex multiply-adds OpenBLAS runs a zgemm on several threads, and a
+# large dgemm takes other kernels, with other roundoff, as the thread count
+# changes; within 2^17 a GEMM stays on the calling thread. (A block of one
+# row is a matrix-vector product, which OpenBLAS may still split; that only
+# happens at n = 1, N = 128.)
+_GEMM_MACS = 2 ** 17
+
+
+@functools.lru_cache(maxsize=128)
+def _block_rows(rows, macs_per_row):
+    """Rows per GEMM: the largest divisor of rows within the _GEMM_MACS budget."""
+    block = max(1, min(rows, _GEMM_MACS // macs_per_row))
+    while rows % block:
+        block -= 1
+    return block
+
+
+def _gemm_rows(rows, w):
+    """Rows per GEMM when `rows` rows go through the table w."""
+    return _block_rows(rows, w.size * (4 if w.dtype.kind == "c" else 1))
+
+
+def _rows_times(a, w):
+    """The contiguous matrix a times w, as a stack of GEMMs over row blocks."""
+    rows = a.shape[0]
+    block = _gemm_rows(rows, w)
+    return np.matmul(a.reshape(rows // block, block, -1), w)
+
+
+def _lead_to_end(y, w):
+    """Transform the leading axis of y by w (y_j -> sum_j y_j w_jk) and move
+    it to the end: the rows are the other axes, flattened, and every GEMM
+    reads a block of them through a transposed view."""
+    lead, rest = y.shape[0], y.shape[1:]
+    rows = y.size // lead
+    block = _gemm_rows(rows, w)
+    stack = y.reshape(lead, rows // block, block).transpose(1, 2, 0)
+    return np.matmul(stack, w).reshape(rest + (lead,))
+
+
+def _end_to_front(z, w):
+    """Transform the trailing axis of z by w (z_k -> sum_k w_jk z_k) and move
+    it to the front: the mirror image of _lead_to_end. Every GEMM writes a
+    block of columns of the output through a strided view, so nothing is
+    copied to move the axis."""
+    tail, rest = z.shape[-1], z.shape[:-1]
+    rows = z.size // tail
+    block = _gemm_rows(rows, w)
+    out = np.empty((tail,) + rest, dtype=complex)
+    np.matmul(w, z.reshape(rows // block, block, tail).transpose(0, 2, 1),
+              out=out.reshape(tail, rows // block, block).transpose(1, 0, 2))
+    return out
+
+
 def rfft(spec, f):
-    """Half spectrum of a real field (numpy.fft.rfftn over every grid axis)."""
-    return np.fft.rfftn(f, axes=spec.axes)
+    """Half spectrum of a real field, with the halved (last) axis stored first.
+
+    Equals np.moveaxis(np.fft.rfftn(f), -1, 0). The last grid axis goes
+    through one real matrix product whose output, with re and im
+    interleaved, is viewed as complex; every other axis then goes through
+    one complex product that transforms the leading axis and moves it to
+    the end. Each product is a stack of GEMMs over blocks of rows, each
+    within _GEMM_MACS multiply-adds.
+    """
+    r2c, c2c = spec._dft[:2]
+    N = spec.N
+    y = _rows_times(f.reshape(-1, N), r2c).view(complex)
+    y = y.reshape(f.shape[:-1] + (N // 2 + 1,))
+    for _ in range(spec.dim_real - 1):
+        y = _lead_to_end(y, c2c)
+    return y
 
 
 def irfft(spec, fh):
-    """Real field of a Hermitian half spectrum; the inverse of rfft."""
-    return np.fft.irfftn(fh, s=spec.shape, axes=spec.axes)
+    """Real field of a Hermitian half spectrum in rfft's layout; its inverse.
+
+    The mirror image of rfft: every full axis is transformed and moved to
+    the front, the trailing one first, then the halved axis goes through
+    one real matrix product. That product drops the imaginary parts of
+    frequencies 0 and N/2 of the halved axis, as numpy.fft.irfftn does.
+    """
+    c2c_inv, c2r = spec._dft[2:]
+    z = fh
+    for _ in range(spec.dim_real - 1):
+        z = _end_to_front(z, c2c_inv)
+    parts = z.reshape(-1, z.shape[-1]).view(np.float64)
+    return _rows_times(parts, c2r).reshape(spec.shape)
 
 
 def dealias(spec, f):

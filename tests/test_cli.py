@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -300,6 +302,28 @@ def test_curvature_csv_dim1(tmp_path):
     with open(os.path.join(out2, "curvature.csv"), "rb") as fh:
         b2 = fh.read()
     assert b1 == b2
+
+
+def test_curvature_dim2_independent_of_blas_threads(tmp_path):
+    # the spectral transforms are BLAS matrix products; their results must
+    # not depend on how many threads BLAS is allowed to use
+    path = _write_cfg(tmp_path, planes=1)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kgeo.cli.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / ("threads" + threads))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgeo.cli", "curvature", "--n", "2",
+             "--config", path, "--out", out],
+            env=env, capture_output=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr.decode()
+        with open(os.path.join(out, "curvature.csv"), "rb") as fh:
+            outputs.append(fh.read())
+    assert outputs[0] == outputs[1]
 
 
 def test_curvature_dim1_roundoff_source_regression(tmp_path):

@@ -180,6 +180,13 @@ def test_integrate_validation(pot2):
         integrate_geodesic(foreign, _zero_tv(pot2), 0.05, 0.01)
 
 
+def test_integrate_rejects_overflowing_step_count(spec1):
+    # T/dt = 1e600 overflows to inf; round(inf) cannot become a step count
+    flat = make_potential(spec1, np.zeros(spec1.shape))
+    with pytest.raises(ValueError, match="not finite"):
+        integrate_geodesic(flat, _zero_tv(flat), 1e300, 1e-300)
+
+
 def test_integrate_store_every(pot2):
     tv = project_tangent(pot2, 0.01 * random_field(pot2.spec, seed=67, kmax=2))
     cur = integrate_geodesic(pot2, tv, 0.04, 0.01, store_every=2)
@@ -344,3 +351,9 @@ def test_flow_validation(pot2):
         pseudo_calabi_flow(pot2, 0.01, -1e-3)
     with pytest.raises(ValueError):
         pseudo_calabi_flow(pot2, 1e-4, 1e-3)
+
+
+def test_flow_rejects_overflowing_step_count(spec1):
+    flat = make_potential(spec1, np.zeros(spec1.shape))
+    with pytest.raises(ValueError, match="not finite"):
+        pseudo_calabi_flow(flat, 1e300, 1e-300)

@@ -8,12 +8,17 @@ cos(2 pi m y) flips the sign of the pure second derivative. The background
 Laplacian is half the real one.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import kgeo
 from kgeo.torus import (build_spec, dealias, random_field, integrate,
                         gradient_z, complex_hessian, holomorphic_hessian,
-                        flat_laplacian)
+                        flat_laplacian, rfft, irfft)
 
 PI = np.pi
 
@@ -60,6 +65,68 @@ def test_coordinates_layout(spec2):
     assert np.array_equal(x2[0, :, 0, 0], t)
     assert np.array_equal(y1[0, 0, :, 0], t)
     assert np.array_equal(y2[0, 0, 0, :], t)
+
+
+# ------------------------------------------------------------- transforms --
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (1, 32), (1, 64), (1, 128),
+                                 (2, 16), (2, 32)])
+def test_rfft_matches_numpy_halved_axis_first(n, N):
+    spec = build_spec(n, N)
+    f = np.random.default_rng(N + n).standard_normal(spec.shape)
+    fh = rfft(spec, f)
+    assert fh.shape == spec.half_shape
+    expected = np.moveaxis(np.fft.rfftn(f), -1, 0)
+    assert _rel(fh, expected) <= 1e-13
+    assert _rel(irfft(spec, fh), f) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_irfft_drops_imaginary_parts_like_numpy(n):
+    # a half spectrum that is not the transform of a real field: the planes
+    # of frequency 0 and N/2 on the halved axis carry imaginary parts
+    spec = build_spec(n, 16)
+    rng = np.random.default_rng(40 + n)
+    gh = (rng.standard_normal(spec.half_shape)
+          + 1j * rng.standard_normal(spec.half_shape))
+    assert np.min(np.abs(gh[0].imag)) > 0.0
+    assert np.min(np.abs(gh[-1].imag)) > 0.0
+    expected = np.fft.irfftn(np.moveaxis(gh, 0, -1), s=spec.shape,
+                             axes=tuple(range(spec.dim_real)))
+    assert _rel(irfft(spec, gh), expected) <= 1e-13
+
+
+_HASH_TRANSFORMS = """
+import hashlib
+import numpy as np
+from kgeo.torus import build_spec, rfft, irfft
+for n, N in [(1, 16), (1, 32), (1, 64), (1, 128), (2, 16), (2, 32)]:
+    spec = build_spec(n, N)
+    fh = rfft(spec, np.random.default_rng(N).standard_normal(spec.shape))
+    print(n, N, hashlib.sha256(fh.tobytes() + irfft(spec, fh).tobytes()).hexdigest())
+"""
+
+
+def test_transforms_independent_of_blas_threads():
+    # rfft and irfft are BLAS matrix products; at every supported grid their
+    # bytes must not depend on how many threads BLAS may use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kgeo.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _HASH_TRANSFORMS],
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 6
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------- dealias --
