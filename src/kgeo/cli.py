@@ -27,7 +27,8 @@ from .state import (make_potential, project_tangent, green_solve, ma_cross,
 from .metrics import MetricKind, DegeneratePlane
 from .curvature import sectional, commutator_fd
 from .dynamics import (integrate_geodesic, geodesic_residual, path_energy,
-                       path_length, pseudo_calabi_flow, kenergy_quadrature)
+                       path_length, pseudo_calabi_flow, kenergy_quadrature,
+                       _step_count)
 from .fieldio import write_csv, write_json
 
 __all__ = ["ConfigError", "load_config", "cmd_check", "cmd_curvature",
@@ -56,11 +57,12 @@ KIND_NAMES = {"Dirichlet": MetricKind.DIRICHLET,
 # the most time steps one integration may take
 MAX_STEPS = 10 ** 6
 
-# Estimated peak memory per grid node: 1 KiB for the potentials, tensors and
-# solver work fields (n=2 N=32 runs peaked at 581-853 MB on 2^20 nodes),
-# plus phi and psi of every stored geodesic sample.
+# Estimated peak memory per grid node: 1 KiB for the potentials and the
+# solver and kernel work fields (at n=2 N=32, 2^20 nodes, `curvature` with
+# planes 1 peaked at 348 MB and `geodesic` with T 0.01 at 552 MB), plus phi,
+# psi and u of every stored geodesic sample.
 BYTES_PER_NODE = 1024
-BYTES_PER_NODE_SAMPLE = 16
+BYTES_PER_NODE_SAMPLE = 24
 
 DEFAULT_TOLERANCES = {
     "laplacian_self_adjoint": 1e-10,
@@ -117,12 +119,16 @@ def _is_real(value):
             and abs(value) <= sys.float_info.max)
 
 
-def _step_count(T, dt, name):
-    # T and dt are validated positive reals; their ratio may still overflow
-    steps = T / dt
-    _require(np.isfinite(steps) and round(steps) <= MAX_STEPS,
-             "T/%s must round to at most %d steps" % (name, MAX_STEPS))
-    return int(round(steps))
+def _capped_steps(cfg, key):
+    # the integrators' own step count for T and cfg[key] (validated positive
+    # reals), whose ratio may still overflow, capped at MAX_STEPS
+    try:
+        steps = _step_count(cfg["T"], cfg[key])
+    except ValueError:
+        steps = None
+    _require(steps is not None and steps <= MAX_STEPS,
+             "T/%s must round to at most %d steps" % (key, MAX_STEPS))
+    return steps
 
 
 def _physical_memory():
@@ -176,8 +182,8 @@ def load_config(path=None, overrides=None):
              "kmax must be null or a positive integer")
     _require(_is_int(cfg["store_every"]) and cfg["store_every"] >= 1,
              "store_every must be a positive integer")
-    nsteps = _step_count(cfg["T"], cfg["dt"], "dt")
-    _step_count(cfg["T"], cfg["flow_dt"], "flow_dt")
+    nsteps = _capped_steps(cfg, "dt")
+    _capped_steps(cfg, "flow_dt")
     _require(cfg["store_every"] > nsteps or nsteps % cfg["store_every"] == 0,
              "store_every must divide round(T/dt) or exceed it")
     _require(_is_int(cfg["halvings"]) and 0 <= cfg["halvings"] <= 4,
@@ -380,20 +386,17 @@ def cmd_curvature(cfg):
 # ------------------------------------------------------------- geodesic ---
 
 def _shoot(cfg):
-    """The configured geodesic: its start (pot, tv), the stored curve, and
-    the Dirichlet speed at each stored sample."""
+    """The configured geodesic: its start (pot, tv) and the stored curve."""
     spec = build_spec(cfg["n"], cfg["grid"])
     pot, tv = _seeded_state(spec, cfg, cfg["seed"], 1)
     curve = integrate_geodesic(pot, tv, cfg["T"], cfg["dt"],
                                store_every=cfg["store_every"])
-    speeds = curve.meta["speeds"]
-    sampled = [float(speeds[int(round(t / cfg["dt"]))]) for t in curve.times]
-    return pot, tv, curve, sampled
+    return pot, tv, curve
 
 
 def cmd_geodesic(cfg):
     """Geodesic shoot; per-sample CSV, summary with drift and optional order."""
-    pot, tv, curve, sampled = _shoot(cfg)
+    pot, tv, curve = _shoot(cfg)
     ends = []
     for level in range(1, cfg["halvings"] + 1):
         fine = integrate_geodesic(pot, tv, cfg["T"], cfg["dt"] / 2 ** level,
@@ -408,7 +411,7 @@ def cmd_geodesic(cfg):
     rows = []
     for i in range(len(curve)):
         r = resid[i - 2] if 2 <= i < 2 + resid.size else ""
-        rows.append([i, curve.times[i], sampled[i], r])
+        rows.append([i, curve.times[i], curve.speeds[i], r])
     write_csv(os.path.join(cfg["out"], "geodesic.csv"),
               ["index", "time", "dirichlet_speed", "equation_residual"], rows)
 
@@ -461,8 +464,8 @@ def cmd_flow(cfg):
 
 def cmd_energy(cfg):
     """Path energy/length of the configured geodesic; Cauchy-Schwarz gap."""
-    _, _, curve, sampled = _shoot(cfg)
-    rows = [[i, curve.times[i], sampled[i]] for i in range(len(curve))]
+    _, _, curve = _shoot(cfg)
+    rows = [[i, curve.times[i], curve.speeds[i]] for i in range(len(curve))]
     write_csv(os.path.join(cfg["out"], "energy.csv"),
               ["index", "time", "dirichlet_speed"], rows)
     energy = path_energy(MetricKind.DIRICHLET, curve)

@@ -29,7 +29,7 @@ is tested against.
 import numpy as np
 
 from .torus import random_field
-from .state import (TangentVector, check_anchor, c_tensor, green_solve,
+from .state import (TangentVector, check_anchor, _c_parts, green_solve,
                     laplacian, ma_cross, make_potential)
 from .metrics import (MetricKind, DegeneratePlane, a_field,
                       covariant_derivative_at, gram_schmidt, grad_pairing,
@@ -157,18 +157,17 @@ def commutator_fd(pot, tv_psi, tv_chi, h):
     return pot.eu_mean(integrand)
 
 
-def _sup_pencil_eig(pot, tensor):
-    """Sup over nodes of the largest |generalized eigenvalue| of
-    (tensor, g): the operator norm of the g-raised tensor."""
-    g = pot.g
+def _sup_pencil_eig(pot, parts):
+    """Sup over nodes of the largest |generalized eigenvalue| of (C, g), C
+    given by its parts in the layout of hessian_parts: the operator norm of
+    the g-raised tensor."""
     if pot.spec.n == 1:
-        return float(np.max(np.abs(tensor[..., 0, 0].real / g[..., 0, 0].real)))
-    det_g = g[..., 0, 0].real * g[..., 1, 1].real - np.abs(g[..., 0, 1]) ** 2
-    det_c = (tensor[..., 0, 0].real * tensor[..., 1, 1].real
-             - np.abs(tensor[..., 0, 1]) ** 2)
-    mixed = (tensor[..., 0, 0].real * g[..., 1, 1].real
-             + tensor[..., 1, 1].real * g[..., 0, 0].real
-             - 2.0 * (tensor[..., 0, 1] * np.conj(g[..., 0, 1])).real)
+        return float(np.max(np.abs(parts[0] / pot.g11)))
+    x, z, yr, yi = parts
+    det_g = pot.e_u * pot.spec.det_flat
+    det_c = x * z - (yr * yr + yi * yi)
+    mixed = (x * pot.g22 + z * pot.g11
+             - 2.0 * (yr * pot.g12_re + yi * pot.g12_im))
     disc = np.maximum(mixed ** 2 - 4.0 * det_g * det_c, 0.0)
     root = np.sqrt(disc)
     lam1 = (mixed + root) / (2.0 * det_g)
@@ -178,8 +177,8 @@ def _sup_pencil_eig(pot, tensor):
 
 def _bound(pot, psi, a_ss):
     # rho1^2/32 + rho2/8 for a Dirichlet-unit psi with a_ss = a(psi, psi)
-    rho1 = _sup_pencil_eig(pot, c_tensor(pot, psi))
-    rho2 = _sup_pencil_eig(pot, c_tensor(pot, a_ss))
+    rho1 = _sup_pencil_eig(pot, _c_parts(pot, psi))
+    rho2 = _sup_pencil_eig(pot, _c_parts(pot, a_ss))
     return rho1 ** 2 / 32.0 + rho2 / 8.0
 
 

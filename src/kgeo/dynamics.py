@@ -27,7 +27,7 @@ sample so refinement studies can read off convergence orders.
 
 import numpy as np
 
-from .torus import gradient_z, complex_hessian, holomorphic_hessian
+from .torus import gradient_z, hessian_parts, holomorphic_parts
 from .state import (KahlerPotential, TangentVector, PositivityViolation,
                     make_potential, _potential_raw, check_anchor, laplacian,
                     ma_cross, green_solve)
@@ -53,16 +53,20 @@ __all__ = [
 class Curve:
     """A uniformly sampled path of potentials with velocities.
 
-    Stores the raw potential and velocity fields; KahlerPotential states are
-    rebuilt on demand (and memoized) because the derived tensors are an order
-    of magnitude larger than the fields themselves. The rebuild keeps the
-    stored fields bit-exact (no dealiasing): integrated trajectories live in
-    the full grid space, and residual studies must difference exactly the
-    states the integrator produced. meta carries integrator diagnostics
-    (per-step speeds, re-gauge drift).
+    Stores the potential and velocity fields of every sample. A curve from
+    integrate_geodesic also carries what the integrator computed at each
+    stored sample: the conformal factor u (us) and the Dirichlet speed
+    (speeds). path_energy, path_length and geodesic_residual read those
+    instead of rebuilding the potentials; on a hand-built curve (us and
+    speeds None) they are computed from the fields. potential(i) rebuilds
+    the KahlerPotential of sample i on demand (memoized, bounded cache),
+    keeping the stored field bit-exact (no dealiasing): integrated
+    trajectories live in the full grid space, and residual studies must
+    difference exactly the states the integrator produced. meta carries
+    integrator diagnostics (per-step speeds, re-gauge drift).
     """
 
-    def __init__(self, spec, times, phis, psis, meta=None):
+    def __init__(self, spec, times, phis, psis, meta=None, us=None, speeds=None):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 1:
             raise ValueError("times must be a nonempty 1-d sequence")
@@ -74,10 +78,15 @@ class Curve:
                 raise ValueError("times must be uniformly spaced")
         if not (len(phis) == len(psis) == times.size):
             raise ValueError("times, phis, psis must have equal length")
+        for recorded in (us, speeds):
+            if recorded is not None and len(recorded) != times.size:
+                raise ValueError("recorded us and speeds need one entry per sample")
         self.spec = spec
         self.times = times
         self.phis = [np.asarray(p, dtype=float) for p in phis]
         self.psis = [np.asarray(p, dtype=float) for p in psis]
+        self.us = None if us is None else [np.asarray(u, dtype=float) for u in us]
+        self.speeds = None if speeds is None else np.asarray(speeds, dtype=float)
         self.meta = dict(meta or {})
         self._memo = {}
 
@@ -122,6 +131,8 @@ class FlowTrace:
 
 
 def _speeds(kind, curve):
+    if kind is MetricKind.DIRICHLET and curve.speeds is not None:
+        return curve.speeds
     out = np.empty(len(curve))
     for i in range(len(curve)):
         tv = curve.velocity(i)
@@ -184,8 +195,9 @@ def integrate_geodesic(pot0, tv0, T, dt, store_every=1):
     conservation and the time differencing behind the equation residual.
     After every accepted step the potential is recentred and the velocity
     re-projected to zero e^u-mean; the size of those corrections and the
-    Dirichlet speed are recorded per step in Curve.meta. store_every thins
-    the stored samples (the last sample is always kept).
+    Dirichlet speed are recorded per step in Curve.meta, and every stored
+    sample keeps its conformal factor and speed (Curve.us, Curve.speeds).
+    store_every thins the stored samples (the last sample is always kept).
     """
     check_anchor(pot0, tv0)
     spec = pot0.spec
@@ -216,10 +228,12 @@ def integrate_geodesic(pot0, tv0, T, dt, store_every=1):
     times = [0.0]
     phis = [phi.copy()]
     psis = [psi.copy()]
+    us = [pot0.u]
     speeds = np.empty(nsteps + 1)
     drift_phi = np.zeros(nsteps + 1)
     drift_psi = np.zeros(nsteps + 1)
     speeds[0] = inner(MetricKind.DIRICHLET, pot0, tv0, tv0)
+    stored = [0]
     warm = None
 
     for step in range(nsteps):
@@ -251,6 +265,8 @@ def integrate_geodesic(pot0, tv0, T, dt, store_every=1):
             times.append((step + 1) * dt)
             phis.append(phi.copy())
             psis.append(psi.copy())
+            us.append(pot.u)
+            stored.append(step + 1)
 
     meta = {
         "dt": dt,
@@ -259,7 +275,7 @@ def integrate_geodesic(pot0, tv0, T, dt, store_every=1):
         "drift_phi": drift_phi,
         "drift_psi": drift_psi,
     }
-    return Curve(spec, times, phis, psis, meta=meta)
+    return Curve(spec, times, phis, psis, meta=meta, us=us, speeds=speeds[stored])
 
 
 def _geodesic_residual_dirichlet(curve):
@@ -271,35 +287,51 @@ def _geodesic_residual_dirichlet(curve):
     is constant in space on exact geodesics once the operator derivative is
     expanded, so each entry is the sup norm after removing the e^u-mean.
     Needs two sample layers on each side: entries cover indices 2..len-3.
+
+    Reads the recorded u of an integrated curve. The potentials that the
+    Green solves and Laplacians need (samples 1..len-2, and on a hand-built
+    curve the end samples for their u) are each built once, in order, and
+    dropped as soon as the sweep has passed them.
     """
     M = len(curve)
     if M < 5:
         raise ValueError("need at least five samples for the residual")
     dt = curve.dt
-    us = [curve.potential(i).u for i in range(M)]
+    us = list(curve.us) if curve.us is not None else [None] * M
+    pots = {}
 
-    w_cache = {}
+    def pot_at(j):
+        if j not in pots:
+            pots[j] = _potential_raw(curve.spec, curve.phis[j])
+            if us[j] is None:
+                us[j] = pots[j].u
+        return pots[j]
+
+    def u_at(j):
+        return us[j] if us[j] is not None else pot_at(j).u
 
     def w_at(j):
         # w(j) = G[Pi u_t(j)] with u_t by central difference
-        if j not in w_cache:
-            pot = curve.potential(j)
-            ut = (us[j + 1] - us[j - 1]) / (2.0 * dt)
-            ut = ut - pot.eu_mean(ut)
-            w_cache[j] = green_solve(pot, ut)
-        return w_cache[j]
+        pot = pot_at(j)
+        ut = (u_at(j + 1) - u_at(j - 1)) / (2.0 * dt)
+        ut = ut - pot.eu_mean(ut)
+        return green_solve(pot, ut)
 
+    w = {1: w_at(1), 2: w_at(2)}
     out = np.empty(M - 4)
     for i in range(2, M - 2):
-        pot = curve.potential(i)
+        w[i + 1] = w_at(i + 1)
+        pot = pot_at(i)
         half = np.exp(0.5 * us[i])
         F = 4.0 / half * (np.exp(0.5 * us[i + 1]) - 2.0 * half
                           + np.exp(0.5 * us[i - 1])) / dt ** 2
-        dtw = (w_at(i + 1) - w_at(i - 1)) / (2.0 * dt)
+        dtw = (w[i + 1] - w.pop(i - 1)) / (2.0 * dt)
         utt = (us[i + 1] - 2.0 * us[i] + us[i - 1]) / dt ** 2
         r = F + laplacian(pot, dtw) - (utt - pot.eu_mean(utt))
         r = r - pot.eu_mean(r)
         out[i - 2] = float(np.max(np.abs(r)))
+        for j in [j for j in pots if j <= i]:
+            del pots[j]
     return out
 
 
@@ -309,7 +341,7 @@ def _geodesic_residual_calabi(curve):
     if M < 3:
         raise ValueError("need at least three samples for the residual")
     dt = curve.dt
-    us = [curve.potential(i).u for i in range(M)]
+    us = curve.us or [curve.potential(i).u for i in range(M)]
     out = np.empty(M - 2)
     for i in range(1, M - 1):
         half = np.exp(0.5 * us[i])
@@ -393,18 +425,35 @@ def kenergy_second_derivative(pot, tv):
     check_anchor(pot, tv)
     spec = pot.spec
     psi = tv.psi
-    g_inv = pot.g_inv
-
-    P = holomorphic_hessian(spec, psi)
-    d2 = np.einsum("...ki,...lj,...ij,...kl->...",
-                   g_inv, g_inv, P, np.conj(P)).real
-
+    a = pot.ginv11
+    P = holomorphic_parts(spec, psi)
+    grad = gradient_z(spec, psi)
     f = kenergy_gradient(pot).psi
     s = scalar_curvature(pot)
-    T = complex_hessian(spec, f) + s[..., None, None] * pot.g
-    gpsi = np.stack(gradient_z(spec, psi), axis=-1)
-    raised = np.conj(np.einsum("...ij,...j->...i", g_inv, gpsi))
-    quad = np.einsum("...ij,...i,...j->...", T, raised, np.conj(raised)).real
+    # T = Hess f + S g, in the layout of hessian_parts
+    T = [hp + s * gp for hp, gp in zip(hessian_parts(spec, f), pot.g_parts)]
+    if spec.n == 1:
+        d2 = a * a * np.abs(P[0]) ** 2
+        quad = T[0] * np.abs(a * grad[0]) ** 2
+    else:
+        # |D2 psi|^2 = Re sum_kl Q_kl conj(P_kl) with Q = g^-1 P (g^-1)^T,
+        # g^-1 = [[a, b], [conj b, c]] and the symmetric P = [[P11, P12],
+        # [P12, P22]]
+        c = pot.ginv22
+        b = pot.ginv12_re + 1j * pot.ginv12_im
+        bc = np.conj(b)
+        P11, P22, P12 = P
+        q11 = a * a * P11 + 2.0 * a * b * P12 + b * b * P22
+        q12 = a * bc * P11 + (a * c + np.abs(b) ** 2) * P12 + b * c * P22
+        q22 = bc * bc * P11 + 2.0 * bc * c * P12 + c * c * P22
+        d2 = (q11 * np.conj(P11) + 2.0 * q12 * np.conj(P12)
+              + q22 * np.conj(P22)).real
+        # T_ij conj(v_i) v_j with the raised gradient v = g^-1 d psi
+        v1 = a * grad[0] + b * grad[1]
+        v2 = bc * grad[0] + c * grad[1]
+        w = np.conj(v1) * v2
+        quad = (T[0] * np.abs(v1) ** 2 + T[1] * np.abs(v2) ** 2
+                + 2.0 * (T[2] * w.real - T[3] * w.imag))
 
     return pot.eu_mean(2.0 * d2 + quad)
 

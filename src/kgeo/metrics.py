@@ -40,14 +40,17 @@ class DegeneratePlane(ValueError):
 
 
 def _grad_contraction(pot, f, h):
-    # g^{jk} f_k conj(h_j); complex field, Hermitian in (f, h)
+    # g^{jk} f_k conj(h_j); complex field, Hermitian in (f, h), with
+    # g^-1 = [[a, b], [conj b, c]]
     spec = pot.spec
     gf = gradient_z(spec, f)
-    gh = gradient_z(spec, h)
-    acc = np.zeros(spec.shape, dtype=complex)
-    for j in range(spec.n):
-        for k in range(spec.n):
-            acc += pot.g_inv[..., j, k] * gf[k] * np.conj(gh[j])
+    hc = [np.conj(d) for d in (gf if h is f else gradient_z(spec, h))]
+    acc = pot.ginv11 * gf[0] * hc[0]
+    if spec.n == 2:
+        b = pot.ginv12_re + 1j * pot.ginv12_im
+        acc += b * gf[1] * hc[0]
+        acc += np.conj(b) * gf[0] * hc[1]
+        acc += pot.ginv22 * gf[1] * hc[1]
     return acc
 
 

@@ -6,13 +6,17 @@ The volume conformal factor is u = log(det g / det g_flat); the node-mean of
 e^u is exactly 1 for dealiased phi (the determinant is a trig polynomial below
 the grid bandwidth, so the quadrature is exact).
 
+The metric and its inverse are stored as real component fields (structure of
+arrays), not as complex (..., n, n) tensors: every operator here contracts
+them with the parts of hessian_parts in closed 2x2 form.
+
 Tangent vectors are real fields with zero mean against e^u; additive constants
 are gauge and every operator here returns a fixed gauge representative.
 """
 
 import numpy as np
 
-from .torus import dealias, complex_hessian, hessian_parts, rfft, irfft
+from .torus import dealias, hermitian_field, hessian_parts, rfft, irfft
 
 __all__ = [
     "EPS_POS",
@@ -58,37 +62,53 @@ class NoConvergence(RuntimeError):
         self.residual = residual
 
 
-def _hermitian_eig_bounds(g):
-    """Pointwise (min, max) eigenvalues of a Hermitian (n x n) matrix field."""
-    n = g.shape[-1]
-    if n == 1:
-        d = g[..., 0, 0].real
-        return d, d
-    a = g[..., 0, 0].real
-    c = g[..., 1, 1].real
-    b2 = np.abs(g[..., 0, 1]) ** 2
-    h = 0.5 * (a + c)
-    r = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b2, 0.0))
-    return h - r, h + r
-
-
 class KahlerPotential:
     """A point of the space of Kahler potentials, with cached metric data.
 
     Immutable after construction. Fields: spec, phi (Lebesgue-mean-zero,
-    dealiased), g and g_inv (pointwise Hermitian matrices), u and e_u
-    (volume conformal factor and its exponential), margin (min eigenvalue of
-    g over the grid).
+    dealiased); the metric g as real fields g11, g22, g12_re, g12_im (the
+    diagonal entries and the real and imaginary parts of g_{1 2bar}) and
+    its inverse likewise as ginv11, ginv22, ginv12_re, ginv12_im, the
+    n = 2 fields being None for n = 1; u and e_u (volume conformal factor
+    and its exponential); margin (min eigenvalue of g over the grid). At
+    n = 2 that is eleven float64 fields, 88 bytes per node. g_parts and
+    ginv_parts list the metric fields in the layout of hessian_parts; g and
+    g_inv assemble the complex (..., n, n) tensors on access, for callers
+    that want them (no kernel of the package does).
     """
 
-    def __init__(self, spec, phi, g, g_inv, u, e_u, margin):
+    def __init__(self, spec, phi, g_parts, ginv_parts, u, e_u, margin):
         self.spec = spec
         self.phi = phi
-        self.g = g
-        self.g_inv = g_inv
+        self.g11, self.g22, self.g12_re, self.g12_im = (
+            list(g_parts) + [None] * 3)[:4]
+        self.ginv11, self.ginv22, self.ginv12_re, self.ginv12_im = (
+            list(ginv_parts) + [None] * 3)[:4]
         self.u = u
         self.e_u = e_u
         self.margin = margin
+
+    @property
+    def g_parts(self):
+        if self.spec.n == 1:
+            return [self.g11]
+        return [self.g11, self.g22, self.g12_re, self.g12_im]
+
+    @property
+    def ginv_parts(self):
+        if self.spec.n == 1:
+            return [self.ginv11]
+        return [self.ginv11, self.ginv22, self.ginv12_re, self.ginv12_im]
+
+    @property
+    def g(self):
+        """The metric, a complex (..., n, n) Hermitian field built on access."""
+        return hermitian_field(self.g_parts)
+
+    @property
+    def g_inv(self):
+        """The inverse metric, a complex (..., n, n) field built on access."""
+        return hermitian_field(self.ginv_parts)
 
     def eu_mean(self, f):
         """Mean of f against the potential's volume form (Vol = 1)."""
@@ -129,26 +149,28 @@ def _potential_raw(spec, phi):
     """
     phi = np.asarray(phi, dtype=float)
     phi = phi - float(np.sum(phi) / spec.nodes)
-    g = complex_hessian(spec, phi)
+    g = hessian_parts(spec, phi)
     for j in range(spec.n):
-        g[..., j, j] += 0.5
-    lo, _ = _hermitian_eig_bounds(g)
+        g[j] += 0.5
+    if spec.n == 1:
+        det = lo = g[0]
+    else:
+        # g = [[a, b], [conj b, c]] has eigenvalues (a + c)/2 -+ r. |b|^2
+        # goes through the complex modulus, which rounds differently from
+        # re*re + im*im in the last bit; the recorded CLI outputs rest on it.
+        a, c, re, im = g
+        b2 = np.abs(re + 1j * im) ** 2
+        r = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b2, 0.0))
+        lo = 0.5 * (a + c) - r
+        det = a * c - b2
     margin = float(np.min(lo))
     if margin <= EPS_POS:
         raise PositivityViolation(
             "metric not positive definite (margin %.3e <= %.0e)" % (margin, EPS_POS),
             margin=margin)
-    if spec.n == 1:
-        det = g[..., 0, 0].real
-        g_inv = np.zeros_like(g)
-        g_inv[..., 0, 0] = 1.0 / det
-    else:
-        det = g[..., 0, 0].real * g[..., 1, 1].real - np.abs(g[..., 0, 1]) ** 2
-        g_inv = np.empty_like(g)
-        g_inv[..., 0, 0] = g[..., 1, 1] / det
-        g_inv[..., 1, 1] = g[..., 0, 0] / det
-        g_inv[..., 0, 1] = -g[..., 0, 1] / det
-        g_inv[..., 1, 0] = -g[..., 1, 0] / det
+    rdet = 1.0 / det
+    # [[a, b], [conj b, c]]^-1 = [[c, -b], [-conj b, a]] / det
+    g_inv = [rdet] if spec.n == 1 else [c * rdet, a * rdet, -re * rdet, -im * rdet]
     e_u = det / spec.det_flat
     u = np.log(e_u)
     return KahlerPotential(spec, phi, g, g_inv, u, e_u, margin)
@@ -172,13 +194,11 @@ def project_tangent(pot, f):
 def _lap_parts(pot, parts):
     # tr(g^-1 H) = a f11 + c f22 + 2 (p Re f12 + q Im f12) with
     # g^-1 = [[a, p + iq], [p - iq, c]]; parts as hessian_parts returns them
-    g_inv = pot.g_inv
-    out = g_inv[..., 0, 0].real * parts[0]
+    out = pot.ginv11 * parts[0]
     if pot.spec.n == 2:
         _, f22, re12, im12 = parts
-        b = g_inv[..., 0, 1]
-        out += g_inv[..., 1, 1].real * f22
-        out += 2.0 * (b.real * re12 + b.imag * im12)
+        out += pot.ginv22 * f22
+        out += 2.0 * (pot.ginv12_re * re12 + pot.ginv12_im * im12)
     return out
 
 
@@ -231,16 +251,20 @@ def ma_cross(pot, f, h):
     return _mixed_det(pot, pf, ph)
 
 
+def _c_parts(pot, f):
+    # C[f] = (lap f) g - Hess f, in the layout of hessian_parts
+    parts = hessian_parts(pot.spec, f)
+    lap = _lap_parts(pot, parts)
+    return [lap * gp - hp for gp, hp in zip(pot.g_parts, parts)]
+
+
 def c_tensor(pot, f):
     """Contracted-Hessian tensor  C[f] = (lap f) g - Hess f  (lower indices).
 
     Hermitian at every node; identically zero in complex dimension one; its
     weighted divergence vanishes (see c_divergence).
     """
-    hess = complex_hessian(pot.spec, f)
-    # tr(g^-1 H) = sum_jk g^-1_jk conj(H_jk) for Hermitian H
-    lap = np.sum((pot.g_inv * np.conj(hess)).real, axis=(-2, -1))
-    return lap[..., None, None] * pot.g - hess
+    return hermitian_field(_c_parts(pot, f))
 
 
 def c_divergence(pot, f):
@@ -251,14 +275,29 @@ def c_divergence(pot, f):
     discrete value is at roundoff level.
     """
     spec = pot.spec
-    # raised tensor is the transpose of g_inv C g_inv in this storage layout
-    cu = np.einsum("...jk,...kl,...lm->...mj", pot.g_inv, c_tensor(pot, f), pot.g_inv)
-    cu *= pot.e_u[..., None, None]
+    parts = _c_parts(pot, f)
+    a = pot.ginv11
+    if spec.n == 1:
+        columns = [[a * a * parts[0]]]
+    else:
+        # R = g^-1 C g^-1 with g^-1 = [[a, b], [conj b, c]] and
+        # C = [[x, y], [conj y, z]]; in this storage layout the raised
+        # tensor is the transpose of R, so its row i is column i of R
+        x, z, yr, yi = parts
+        c = pot.ginv22
+        b = pot.ginv12_re + 1j * pot.ginv12_im
+        y = yr + 1j * yi
+        re_by = pot.ginv12_re * yr + pot.ginv12_im * yi  # Re(conj(b) y)
+        bb = pot.ginv12_re ** 2 + pot.ginv12_im ** 2
+        r11 = a * a * x + 2.0 * a * re_by + bb * z
+        r22 = bb * x + 2.0 * c * re_by + c * c * z
+        r12 = a * b * x + b * b * np.conj(y) + a * c * y + b * c * z
+        columns = [[r11, np.conj(r12)], [r12, r22]]
     worst = 0.0
-    for i in range(spec.n):
+    for column in columns:
         div = np.zeros(spec.shape, dtype=complex)
-        for j in range(spec.n):
-            comp = np.fft.fftn(cu[..., i, j])
+        for j, entry in enumerate(column):
+            comp = np.fft.fftn(pot.e_u * entry)
             # dzbar_j has symbol -conj(sigma_j)
             div += np.fft.ifftn(-np.conj(spec.sigma[j]) * comp)
         worst = max(worst, float(np.max(np.abs(div))))

@@ -10,9 +10,13 @@ Conventions (fixed throughout the package):
 * holomorphic derivative d/dz_j = (d/dx_j - i d/dy_j)/2; on the Fourier mode
   exp(2 pi i (k.x + m.y)) it acts as multiplication by sigma_j = pi(m_j + i k_j).
 
-Scalar fields are plain float64 arrays of shape (N,)*(2n); Hermitian matrix
-fields (complex Hessians, metric tensors) are complex arrays of shape
-(N,)*(2n) + (n, n), pointwise Hermitian in the trailing axes.
+Scalar fields are plain float64 arrays of shape (N,)*(2n). A Hermitian
+matrix field (a complex Hessian, the metric, its inverse) is kept as its
+real component fields, in the layout hessian_parts returns: [d] for n = 1
+and [d_1, d_2, Re o, Im o] for n = 2, with diagonal entries d_j and the
+(1, 2) entry o. The package's kernels contract them in closed 2x2 form;
+complex_hessian and holomorphic_hessian assemble complex arrays of shape
+(N,)*(2n) + (n, n) for callers that want a tensor.
 
 Kernels that map real fields to real fields (dealiasing, the flat Laplacian
 and its inverse, seeded fields, the parts of the complex Hessian) run on the
@@ -36,8 +40,8 @@ Nyquist planes these are Re s and Im s; on them -K mod N keeps the Nyquist
 component, so the parts match the complex transform of the full symbol to
 roundoff on full-band fields too. The symbol tables are built once per
 TorusSpec from the per-axis frequency arrays, laid out like the half
-spectrum. Kernels with complex output (gradient_z, holomorphic_hessian)
-keep one numpy.fft complex transform pair over every axis.
+spectrum. Kernels with complex output (gradient_z, holomorphic_parts)
+keep numpy.fft complex transforms over every axis.
 
 Dealiasing uses the 2/3 rule with per-axis integer cutoff N//3; because N is a
 power of two, triple products of dealiased fields stay strictly below the grid
@@ -56,8 +60,10 @@ __all__ = [
     "random_field",
     "integrate",
     "hessian_parts",
+    "hermitian_field",
     "complex_hessian",
     "gradient_z",
+    "holomorphic_parts",
     "holomorphic_hessian",
     "flat_laplacian",
 ]
@@ -380,6 +386,18 @@ def hessian_parts(spec, f):
     return [irfft(spec, sym * fh) for sym in spec.half_hess]
 
 
+def hermitian_field(parts):
+    """Complex (..., n, n) Hermitian field of real parts in hessian_parts' layout."""
+    n = 1 if len(parts) == 1 else 2
+    out = np.empty(parts[0].shape + (n, n), dtype=complex)
+    out[..., 0, 0] = parts[0]
+    if n == 2:
+        out[..., 1, 1] = parts[1]
+        out[..., 0, 1] = parts[2] + 1j * parts[3]
+        out[..., 1, 0] = np.conj(out[..., 0, 1])
+    return out
+
+
 def complex_hessian(spec, f):
     """Mixed complex Hessian f_{j kbar} = d^2 f / dz_j dzbar_k.
 
@@ -387,15 +405,16 @@ def complex_hessian(spec, f):
     The input should be dealiased (spectral derivatives themselves do not
     alias, but downstream pointwise products do).
     """
-    n = spec.n
-    parts = hessian_parts(spec, f)
-    out = np.empty(spec.shape + (n, n), dtype=complex)
-    for j in range(n):
-        out[..., j, j] = parts[j]
-    if n == 2:
-        out[..., 0, 1] = parts[2] + 1j * parts[3]
-        out[..., 1, 0] = np.conj(out[..., 0, 1])
-    return out
+    return hermitian_field(hessian_parts(spec, f))
+
+
+def holomorphic_parts(spec, f):
+    """Entries of the pure Hessian f_{jk} = d^2 f / dz_j dz_k (symbol
+    sigma_j sigma_k): [f_11] for n = 1, [f_11, f_22, f_12] for n = 2, complex
+    grid arrays; one complex transform pair per entry."""
+    fh = np.fft.fftn(f)
+    pairs = [(0, 0)] if spec.n == 1 else [(0, 0), (1, 1), (0, 1)]
+    return [np.fft.ifftn(spec.sigma[j] * spec.sigma[k] * fh) for j, k in pairs]
 
 
 def holomorphic_hessian(spec, f):
@@ -406,14 +425,12 @@ def holomorphic_hessian(spec, f):
     norm |D^2 psi|^2 in the second variation of the energy functional.
     """
     n = spec.n
-    fh = np.fft.fftn(f)
+    parts = holomorphic_parts(spec, f)
     out = np.empty(spec.shape + (n, n), dtype=complex)
-    for j in range(n):
-        for k in range(j, n):
-            block = np.fft.ifftn(spec.sigma[j] * spec.sigma[k] * fh)
-            out[..., j, k] = block
-            if k != j:
-                out[..., k, j] = block
+    out[..., 0, 0] = parts[0]
+    if n == 2:
+        out[..., 1, 1] = parts[1]
+        out[..., 0, 1] = out[..., 1, 0] = parts[2]
     return out
 
 

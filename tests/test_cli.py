@@ -11,6 +11,7 @@ import pytest
 
 import kgeo.cli
 import kgeo.curvature
+import kgeo.dynamics
 import kgeo.metrics
 import kgeo.state
 from kgeo.cli import (
@@ -263,6 +264,34 @@ def test_check_dim2_solves_once_per_auxiliary_potential(tmp_path, monkeypatch):
     path = _write_cfg(tmp_path, n=2, planes=1)
     assert main(["check", "--config", path, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 4
+
+
+def test_geodesic_builds_each_potential_once(tmp_path, monkeypatch):
+    # 1 seeded state, 5 per RK4 step over 10 steps, and 9 for the Green
+    # solves and Laplacians of the residual; energy and length read the
+    # recorded speeds. 40 solves integrate, 9 go into the residual.
+    builds = []
+    true_build = kgeo.state._potential_raw
+
+    def counting_build(*args):
+        builds.append(1)
+        return true_build(*args)
+
+    solves = []
+    true_solve = kgeo.state.green_solve
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return true_solve(*args, **kwargs)
+
+    for module in (kgeo.state, kgeo.dynamics):
+        monkeypatch.setattr(module, "_potential_raw", counting_build)
+    for module in (kgeo.dynamics, kgeo.metrics, kgeo.curvature, kgeo.cli):
+        monkeypatch.setattr(module, "green_solve", counting_solve)
+    out = str(tmp_path / "out")
+    assert main(["geodesic", "--n", "2", "--out", out]) == 0
+    assert len(builds) == 60
+    assert len(solves) == 49
 
 
 @pytest.mark.parametrize("command", ["check", "flow", "geodesic", "energy"])

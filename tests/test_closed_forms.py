@@ -1,0 +1,74 @@
+"""Closed 2x2 kernels against tensor formulas over the (n, n) axes.
+
+The metric is stored as real component fields, and the kernels that
+contract it (the gradient contraction behind grad_pairing and
+poisson_bracket, the pencil norm behind the Dirichlet bound, the second
+variation of the energy) are written out entrywise. The references below
+assemble the complex tensors pot.g and pot.g_inv and contract them with
+einsum or a per-node eigensolver. The closed forms sum in another order, so
+agreement is required to 1e-12 relative to the reference's size.
+"""
+
+import numpy as np
+import pytest
+
+from kgeo.torus import (build_spec, complex_hessian, gradient_z,
+                        holomorphic_hessian, random_field)
+from kgeo.state import _potential_raw, c_tensor, project_tangent
+from kgeo.metrics import grad_pairing, poisson_bracket
+from kgeo.curvature import _c_parts, _sup_pencil_eig
+from kgeo.dynamics import (kenergy_gradient, kenergy_second_derivative,
+                           scalar_curvature)
+
+RTOL = 1e-12
+
+
+@pytest.fixture(scope="module", params=[(1, 32), (2, 16)], ids=["n1", "n2"])
+def case(request):
+    n, N = request.param
+    spec = build_spec(n, N)
+    rng = np.random.default_rng(77 + n)
+    phi = 0.004 * random_field(spec, seed=71) + 1e-5 * rng.standard_normal(spec.shape)
+    pot = _potential_raw(spec, phi)
+    return pot, random_field(spec, seed=72), random_field(spec, seed=73)
+
+
+def _close(got, want):
+    assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
+
+
+def test_grad_contraction_matches_tensor_sum(case):
+    pot, f, h = case
+    gf = gradient_z(pot.spec, f)
+    gh = gradient_z(pot.spec, h)
+    g_inv = pot.g_inv
+    want = sum(g_inv[..., j, k] * gf[k] * np.conj(gh[j])
+               for j in range(pot.spec.n) for k in range(pot.spec.n))
+    _close(grad_pairing(pot, f, h), 2.0 * want.real)
+    _close(poisson_bracket(pot, f, h), want.imag)
+
+
+def test_pencil_norm_matches_eigensolver(case):
+    pot, f, _ = case
+    # generalized eigenvalues of (C, g) are the eigenvalues of g^-1 C
+    lam = np.linalg.eigvals(np.linalg.solve(pot.g, c_tensor(pot, f)))
+    want = float(np.max(np.abs(lam)))
+    got = _sup_pencil_eig(pot, _c_parts(pot, f))
+    assert got == pytest.approx(want, rel=RTOL)
+
+
+def test_kenergy_second_derivative_matches_einsum(case):
+    pot, f, _ = case
+    spec = pot.spec
+    tv = project_tangent(pot, 0.02 * f)
+    g_inv = pot.g_inv
+    P = holomorphic_hessian(spec, tv.psi)
+    d2 = np.einsum("...ki,...lj,...ij,...kl->...",
+                   g_inv, g_inv, P, np.conj(P)).real
+    s = scalar_curvature(pot)
+    T = complex_hessian(spec, kenergy_gradient(pot).psi) + s[..., None, None] * pot.g
+    grad = np.stack(gradient_z(spec, tv.psi), axis=-1)
+    raised = np.conj(np.einsum("...ij,...j->...i", g_inv, grad))
+    quad = np.einsum("...ij,...i,...j->...", T, raised, np.conj(raised)).real
+    want = pot.eu_mean(2.0 * d2 + quad)
+    assert kenergy_second_derivative(pot, tv) == pytest.approx(want, rel=RTOL)

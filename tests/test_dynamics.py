@@ -116,6 +116,24 @@ def test_path_energy_zero_curve(pot2):
     assert path_length(MetricKind.DIRICHLET, cur) == 0.0
 
 
+def _hand_built(curve):
+    # the same samples without the integrator's recorded data
+    return Curve(curve.spec, curve.times, curve.phis, curve.psis)
+
+
+def test_path_functionals_read_recorded_speeds(short_geodesic):
+    cur = short_geodesic
+    e = path_energy(MetricKind.DIRICHLET, cur)
+    ln = path_length(MetricKind.DIRICHLET, cur)
+    assert e == float(np.trapezoid(cur.speeds, cur.times))
+    assert ln == float(np.trapezoid(np.sqrt(np.maximum(cur.speeds, 0.0)),
+                                    cur.times))
+    copy = _hand_built(cur)
+    assert copy.speeds is None and copy.us is None
+    assert path_energy(MetricKind.DIRICHLET, copy) == pytest.approx(e, rel=1e-13)
+    assert path_length(MetricKind.DIRICHLET, copy) == pytest.approx(ln, rel=1e-13)
+
+
 def test_cauchy_schwarz_on_geodesic(short_geodesic):
     T = float(short_geodesic.times[-1])
     e = path_energy(MetricKind.DIRICHLET, short_geodesic)
@@ -196,6 +214,15 @@ def test_integrate_store_every(pot2):
     assert np.array_equal(endpoints.phis[-1], cur.phis[-1])
 
 
+def test_integrate_records_sample_speeds_and_u(spec1):
+    pot = make_potential(spec1, 0.01 * random_field(spec1, seed=62))
+    tv = project_tangent(pot, 0.02 * random_field(spec1, seed=63))
+    cur = integrate_geodesic(pot, tv, 0.04, 0.01, store_every=2)
+    assert np.array_equal(cur.speeds, cur.meta["speeds"][::2])
+    assert cur.us[0] is pot.u
+    assert len(cur.us) == len(cur)
+
+
 def test_integrate_speed_drift_short(short_geodesic):
     sp = short_geodesic.meta["speeds"]
     assert np.max(np.abs(sp - sp[0])) / sp[0] <= 2e-4
@@ -228,6 +255,13 @@ def test_residual_on_dirichlet_geodesic(short_geodesic):
     rc = geodesic_residual(MetricKind.CALABI, short_geodesic)
     assert np.max(rd) <= 5e-3  # second order in dt = 5e-3
     assert np.min(rc) >= 0.5   # a Dirichlet geodesic is not a Calabi one
+
+
+def test_residual_recorded_matches_hand_built(short_geodesic):
+    # recorded u against u rebuilt from the stored (recentred) fields
+    recorded = geodesic_residual(MetricKind.DIRICHLET, short_geodesic)
+    rebuilt = geodesic_residual(MetricKind.DIRICHLET, _hand_built(short_geodesic))
+    assert np.allclose(recorded, rebuilt, rtol=1e-6, atol=0.0)
 
 
 def test_residual_needs_enough_samples(pot2):

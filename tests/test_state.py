@@ -10,7 +10,8 @@ the Hessian-star of fields on different complex axes vanishes).
 import numpy as np
 import pytest
 
-from kgeo.torus import build_spec, random_field, dealias, flat_laplacian
+from kgeo.torus import (build_spec, random_field, dealias, flat_laplacian,
+                        complex_hessian)
 from kgeo.state import (EPS_POS, PositivityViolation, MeanNotZero,
                         NoConvergence, make_potential, project_tangent,
                         check_anchor, laplacian, hess_star, ma_cross,
@@ -85,6 +86,38 @@ def test_metric_margin_matches_eigensolver(curved2):
     assert curved2.margin == pytest.approx(float(np.min(eigs)), abs=1e-12)
     inv = np.linalg.inv(curved2.g)
     assert np.max(np.abs(inv - curved2.g_inv)) < 1e-12
+
+
+def test_potential_stores_components_only(curved2):
+    # phi, four metric and four inverse-metric fields, u and e_u: 88 B/node
+    arrays = [v for v in vars(curved2).values() if isinstance(v, np.ndarray)]
+    assert all(a.shape == curved2.spec.shape for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 88 * curved2.spec.nodes
+
+
+def _tensor_assembly(pot):
+    # the metric and its inverse built as complex (..., n, n) tensors
+    g = complex_hessian(pot.spec, pot.phi)
+    for j in range(pot.spec.n):
+        g[..., j, j] += 0.5
+    g_inv = np.zeros_like(g)
+    if pot.spec.n == 1:
+        g_inv[..., 0, 0] = 1.0 / g[..., 0, 0].real
+        return g, g_inv
+    det = g[..., 0, 0].real * g[..., 1, 1].real - np.abs(g[..., 0, 1]) ** 2
+    g_inv[..., 0, 0] = g[..., 1, 1] / det
+    g_inv[..., 1, 1] = g[..., 0, 0] / det
+    g_inv[..., 0, 1] = -g[..., 0, 1] / det
+    g_inv[..., 1, 0] = -g[..., 1, 0] / det
+    return g, g_inv
+
+
+def test_metric_properties_match_tensor_assembly(curved1, curved2):
+    for pot in (curved1, curved2):
+        g, g_inv = _tensor_assembly(pot)
+        for got, want in ((pot.g, g), (pot.g_inv, g_inv)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 # -------------------------------------------------------- tangent vectors --
