@@ -28,7 +28,7 @@ from .metrics import MetricKind, DegeneratePlane
 from .curvature import sectional, commutator_fd
 from .dynamics import (integrate_geodesic, geodesic_residual, path_energy,
                        path_length, pseudo_calabi_flow, kenergy_quadrature,
-                       _step_count)
+                       _step_count, _stored_steps)
 from .fieldio import write_csv, write_json
 
 __all__ = ["ConfigError", "load_config", "cmd_check", "cmd_curvature",
@@ -198,9 +198,7 @@ def load_config(path=None, overrides=None):
                  "tolerance %r must be a finite number >= 0" % (name,))
     _require(isinstance(cfg["out"], str) and cfg["out"], "out must be a path")
 
-    # stored geodesic samples: every store_every-th step, or the endpoints
-    samples = (2 if cfg["store_every"] > nsteps
-               else nsteps // cfg["store_every"] + 1)
+    samples = len(_stored_steps(nsteps, cfg["store_every"]))
     need = cfg["grid"] ** (2 * cfg["n"]) * (BYTES_PER_NODE
                                              + BYTES_PER_NODE_SAMPLE * samples)
     have = _physical_memory()

@@ -183,11 +183,29 @@ def _step_count(T, dt):
     return int(round(ratio))
 
 
+def _stored_steps(nsteps, every):
+    """Steps a stepper keeps: 0, every every-th step and nsteps (every >= 1)."""
+    if not isinstance(every, (int, np.integer)) or every < 1:
+        raise ValueError("sampling interval %r is not a positive integer" % (every,))
+    return list(range(0, nsteps, every)) + [nsteps]
+
+
+def _guarded(build, spec, phi, t, path):
+    """build(spec, phi), with the exit time t attached to a PositivityViolation."""
+    try:
+        return build(spec, phi)
+    except PositivityViolation as exc:
+        raise PositivityViolation(
+            "%s left the space at t=%.6g (%s)" % (path, t, exc),
+            margin=exc.margin, time=t) from exc
+
+
 def integrate_geodesic(pot0, tv0, T, dt, store_every=1):
     """Integrate the geodesic through (pot0, tv0) over [0, T] at fixed dt.
 
-    Classical fourth-order stages; each stage state is rebuilt as a full
-    potential (positivity enforced — a PositivityViolation is re-raised with
+    Classical fourth-order stages; the first reuses the potential accepted
+    by the previous step (pot0 at step 0), the other three are built as full
+    potentials (positivity enforced — a PositivityViolation is re-raised with
     the exit time attached). The state evolves in the full grid space: stage
     potentials are assembled without dealiasing, because the acceleration
     carries energy beyond the two-thirds band and chopping it off again every
@@ -202,71 +220,55 @@ def integrate_geodesic(pot0, tv0, T, dt, store_every=1):
     check_anchor(pot0, tv0)
     spec = pot0.spec
     nsteps = _step_count(T, dt)
-    store_every = int(store_every)
-    if store_every < 1:
-        raise ValueError("store_every must be a positive integer")
-    if store_every <= nsteps and nsteps % store_every != 0:
+    stored = _stored_steps(nsteps, store_every)
+    if len(set(np.diff(stored))) > 1:
         # stored times must stay uniformly spaced (Curve requires it, and
         # the time differencing in the residual study depends on it); any
         # store_every beyond nsteps means "endpoints only"
         raise ValueError("store_every must divide round(T/dt) "
                          "(or exceed it to keep endpoints only)")
 
-    def accel(phi_arr, psi_arr, warm, t):
-        try:
-            pot = _potential_raw(spec, phi_arr)
-        except PositivityViolation as exc:
-            raise PositivityViolation(
-                "geodesic left the space at t=%.6g (%s)" % (t, exc),
-                margin=exc.margin, time=t) from exc
-        psi = psi_arr - pot.eu_mean(psi_arr)
-        acc = geodesic_rhs(pot, TangentVector(pot, psi), x0=warm)
-        return acc.psi
+    def build(phi_arr, t):
+        return _guarded(_potential_raw, spec, phi_arr, t, "geodesic")
 
-    phi = pot0.phi.copy()
-    psi = tv0.psi.copy()
-    times = [0.0]
-    phis = [phi.copy()]
-    psis = [psi.copy()]
-    us = [pot0.u]
+    def accel(pot, psi_arr, warm):
+        psi = psi_arr - pot.eu_mean(psi_arr)
+        return geodesic_rhs(pot, TangentVector(pot, psi), x0=warm).psi
+
+    pot, phi, psi = pot0, pot0.phi, tv0.psi
+    phis, psis, us = [], [], []
     speeds = np.empty(nsteps + 1)
     drift_phi = np.zeros(nsteps + 1)
     drift_psi = np.zeros(nsteps + 1)
-    speeds[0] = inner(MetricKind.DIRICHLET, pot0, tv0, tv0)
-    stored = [0]
+    keep = set(stored)
     warm = None
 
-    for step in range(nsteps):
-        t = step * dt
-        k1 = accel(phi, psi, warm, t)
-        warm = k1
-        k2 = accel(phi + 0.5 * dt * psi, psi + 0.5 * dt * k1, warm, t + 0.5 * dt)
-        k3 = accel(phi + 0.5 * dt * (psi + 0.5 * dt * k1),
-                   psi + 0.5 * dt * k2, k2, t + 0.5 * dt)
-        k4 = accel(phi + dt * (psi + 0.5 * dt * k2), psi + dt * k3, k3, t + dt)
-        phi = phi + dt * (psi + (dt / 6.0) * (k1 + k2 + k3))
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        warm = k4
+    for step in range(nsteps + 1):
+        if step > 0:
+            t = (step - 1) * dt
+            k1 = accel(pot, psi, warm)
+            k2 = accel(build(phi + 0.5 * dt * psi, t + 0.5 * dt),
+                       psi + 0.5 * dt * k1, k1)
+            k3 = accel(build(phi + 0.5 * dt * (psi + 0.5 * dt * k1), t + 0.5 * dt),
+                       psi + 0.5 * dt * k2, k2)
+            k4 = accel(build(phi + dt * (psi + 0.5 * dt * k2), t + dt),
+                       psi + dt * k3, k3)
+            phi = phi + dt * (psi + (dt / 6.0) * (k1 + k2 + k3))
+            psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            warm = k4
 
-        drift_phi[step + 1] = abs(float(np.sum(phi)) / spec.nodes)
-        try:
-            pot = _potential_raw(spec, phi)
-        except PositivityViolation as exc:
-            raise PositivityViolation(
-                "geodesic left the space at t=%.6g (%s)" % (t + dt, exc),
-                margin=exc.margin, time=t + dt) from exc
-        phi = pot.phi
-        mu = pot.eu_mean(psi)
-        drift_psi[step + 1] = abs(mu)
-        psi = psi - mu
-        speeds[step + 1] = inner(MetricKind.DIRICHLET, pot,
-                                 TangentVector(pot, psi), TangentVector(pot, psi))
-        if (step + 1) % store_every == 0 or step + 1 == nsteps:
-            times.append((step + 1) * dt)
+            drift_phi[step] = abs(float(np.sum(phi)) / spec.nodes)
+            pot = build(phi, t + dt)
+            phi = pot.phi
+            mu = pot.eu_mean(psi)
+            drift_psi[step] = abs(mu)
+            psi = psi - mu
+        tv = TangentVector(pot, psi)
+        speeds[step] = inner(MetricKind.DIRICHLET, pot, tv, tv)
+        if step in keep:
             phis.append(phi.copy())
             psis.append(psi.copy())
             us.append(pot.u)
-            stored.append(step + 1)
 
     meta = {
         "dt": dt,
@@ -275,7 +277,8 @@ def integrate_geodesic(pot0, tv0, T, dt, store_every=1):
         "drift_phi": drift_phi,
         "drift_psi": drift_psi,
     }
-    return Curve(spec, times, phis, psis, meta=meta, us=us, speeds=speeds[stored])
+    return Curve(spec, [s * dt for s in stored], phis, psis, meta=meta, us=us,
+                 speeds=speeds[stored])
 
 
 def _geodesic_residual_dirichlet(curve):
@@ -365,10 +368,13 @@ def scalar_curvature(pot):
     return -laplacian(pot, pot.u)
 
 
-def kenergy_gradient(pot):
-    """Dirichlet gradient of the energy functional: f with lap f = S, mean zero."""
+def kenergy_gradient(pot, x0=None):
+    """Dirichlet gradient of the energy functional: f with lap f = S, mean zero.
+
+    x0 warm-starts the Green solve (the flow passes its previous gradient).
+    """
     s = scalar_curvature(pot)
-    f = green_solve(pot, s - pot.eu_mean(s))
+    f = green_solve(pot, s - pot.eu_mean(s), x0=x0)
     return TangentVector(pot, f)
 
 
@@ -461,38 +467,30 @@ def kenergy_second_derivative(pot, tv):
 def pseudo_calabi_flow(pot0, T, dt, sample_every=1):
     """Downhill flow of the energy functional: phi <- phi - dt * f.
 
-    Explicit stepping with re-gauging through make_potential each step; the
-    trace records the energy value and the Dirichlet norm of the gradient at
-    every sample_every-th step (plus the initial and final states). The
-    energy is evaluated from each sampled state in closed form (kenergy),
-    not from the flow's own increments, so monotonicity checks are
-    independent of the stepper. The quadrature oracle is not run here;
-    kgeo flow reports its gap to kenergy at the initial state.
+    Explicit stepping with re-gauging through make_potential each step (exit
+    time attached to a PositivityViolation) and a gradient solve warm-started
+    from the previous gradient; the trace records the energy value and the
+    Dirichlet norm of the gradient at every sample_every-th step (plus the
+    initial and final states). The energy is evaluated from each sampled
+    state in closed form (kenergy), not from the flow's own increments, so
+    monotonicity checks are independent of the stepper. The quadrature
+    oracle is not run here; kgeo flow reports its gap to kenergy at the
+    initial state.
     """
     spec = pot0.spec
     nsteps = _step_count(T, dt)
+    keep = set(_stored_steps(nsteps, sample_every))
     pot = pot0
-    times = [0.0]
-    nus = [kenergy(pot)]
     grad = kenergy_gradient(pot)
-    norms = [np.sqrt(max(inner(MetricKind.DIRICHLET, pot, grad, grad), 0.0))]
-    warm = grad.psi
-    for step in range(nsteps):
-        t = (step + 1) * dt
-        try:
-            pot = make_potential(spec, pot.phi - dt * grad.psi)
-        except PositivityViolation as exc:
-            raise PositivityViolation(
-                "flow left the space at t=%.6g (%s)" % (t, exc),
-                margin=exc.margin, time=t) from exc
-        s = scalar_curvature(pot)
-        f = green_solve(pot, s - pot.eu_mean(s), x0=warm)
-        warm = f
-        grad = TangentVector(pot, f)
-        if (step + 1) % sample_every == 0 or step + 1 == nsteps:
-            times.append(t)
-            nus.append(kenergy(pot))
-            norms.append(np.sqrt(max(
-                inner(MetricKind.DIRICHLET, pot, grad, grad), 0.0)))
+    samples = []
+    for step in range(nsteps + 1):
+        if step > 0:
+            pot = _guarded(make_potential, spec, pot.phi - dt * grad.psi,
+                           step * dt, "flow")
+            grad = kenergy_gradient(pot, x0=grad.psi)
+        if step in keep:
+            norm = np.sqrt(max(inner(MetricKind.DIRICHLET, pot, grad, grad), 0.0))
+            samples.append((step * dt, kenergy(pot), norm))
+    times, nus, norms = zip(*samples)
     meta = {"dt": dt, "sample_every": sample_every}
     return FlowTrace(times, nus, norms, meta=meta)

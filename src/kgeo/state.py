@@ -164,7 +164,7 @@ def _potential_raw(spec, phi):
         lo = 0.5 * (a + c) - r
         det = a * c - b2
     margin = float(np.min(lo))
-    if margin <= EPS_POS:
+    if not margin > EPS_POS:
         raise PositivityViolation(
             "metric not positive definite (margin %.3e <= %.0e)" % (margin, EPS_POS),
             margin=margin)
@@ -379,7 +379,7 @@ def green_solve(pot, v, tol=1e-10, maxiter=None, tol_mean=1e-8, atol_floor=1e-12
         z = _flat_inverse(spec, e_u * r)
         z -= pot.eu_mean(z)
         rz = float(np.sum(r * z * e_u))
-        if rz <= 0.0:
+        if not rz > 0.0:
             # strictly positive for any SPD operator/preconditioner pair
             raise NoConvergence(
                 "preconditioner breakdown (r.z = %.3e)" % rz,
@@ -391,7 +391,7 @@ def green_solve(pot, v, tol=1e-10, maxiter=None, tol_mean=1e-8, atol_floor=1e-12
         rz_old = rz
         ap = apply_op(p)
         denom = float(np.sum(p * ap * e_u))
-        if denom <= 0.0:
+        if not denom > 0.0:
             raise NoConvergence(
                 "conjugate-gradient breakdown (curvature %.3e)" % denom,
                 iterations=it, residual=rn / bnorm)

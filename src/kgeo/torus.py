@@ -364,8 +364,7 @@ def integrate(spec, f, density=None):
     """
     if density is None:
         return float(np.sum(f) / spec.nodes)
-    density = np.asarray(density)
-    if density.ndim and np.min(density) <= 0.0:
+    if not np.all(np.asarray(density) > 0.0):
         raise ValueError("density must be positive pointwise")
     return float(np.sum(f * density) / spec.nodes)
 

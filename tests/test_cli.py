@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -120,6 +121,26 @@ def test_config_memory_budget(tmp_path, monkeypatch, capsys):
     with pytest.raises(ConfigError):
         load_config(path, {"grid": 128})
     assert load_config(path)["grid"] == 16
+
+
+@pytest.mark.parametrize("T, dt, store_every", [
+    (0.05, 0.01, 1), (0.04, 0.01, 2), (0.06, 0.01, 3), (0.05, 0.01, 5),
+    (0.05, 0.01, 6), (0.01, 0.01, 1), (0.03, 0.01, 10 ** 9)])
+def test_config_samples_match_the_integrator(tmp_path, monkeypatch, T, dt,
+                                             store_every):
+    # the memory estimate counts the samples integrate_geodesic will store;
+    # with no memory at all, the refusal names that count
+    monkeypatch.setattr(kgeo.cli, "_physical_memory", lambda: 0)
+    path = _write_cfg(tmp_path, T=T, dt=dt, store_every=store_every)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    samples = int(re.search(r"with (\d+) stored samples", str(err.value)).group(1))
+    spec = kgeo.cli.build_spec(1, 16)
+    pot = kgeo.state.make_potential(spec, np.zeros(spec.shape))
+    tv = kgeo.state.project_tangent(pot, np.zeros(spec.shape))
+    curve = kgeo.dynamics.integrate_geodesic(pot, tv, T, dt,
+                                             store_every=store_every)
+    assert samples == len(curve)
 
 
 def test_config_unreadable_and_invalid(tmp_path):
@@ -267,9 +288,10 @@ def test_check_dim2_solves_once_per_auxiliary_potential(tmp_path, monkeypatch):
 
 
 def test_geodesic_builds_each_potential_once(tmp_path, monkeypatch):
-    # 1 seeded state, 5 per RK4 step over 10 steps, and 9 for the Green
-    # solves and Laplacians of the residual; energy and length read the
-    # recorded speeds. 40 solves integrate, 9 go into the residual.
+    # 1 seeded state, 4 per RK4 step over 10 steps (the first stage reuses
+    # the potential the previous step accepted), and 9 for the Green solves
+    # and Laplacians of the residual; energy and length read the recorded
+    # speeds. 40 solves integrate, 9 go into the residual.
     builds = []
     true_build = kgeo.state._potential_raw
 
@@ -290,7 +312,7 @@ def test_geodesic_builds_each_potential_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "green_solve", counting_solve)
     out = str(tmp_path / "out")
     assert main(["geodesic", "--n", "2", "--out", out]) == 0
-    assert len(builds) == 60
+    assert len(builds) == 50
     assert len(solves) == 49
 
 
@@ -303,6 +325,24 @@ def test_library_error_exits_with_summary(tmp_path, command):
     assert summary["error"].startswith("metric not positive definite")
     assert summary["exit_time"] is None
     assert summary["config"]["amp_phi"] == 5.0
+
+
+def test_overflowing_velocity_exits_with_summary(tmp_path):
+    # amp_psi 1e300 overflows the geodesic source to inf and NaN; the Green
+    # solve must break down at once instead of running to its iteration cap.
+    # A subprocess, because the overflow warnings are errors under pytest.
+    path = _write_cfg(tmp_path, n=2, amp_psi=1e300)
+    out = str(tmp_path / "out")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kgeo.cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgeo.cli", "geodesic", "--n", "2",
+         "--config", path, "--out", out],
+        env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert "error" in _read_json(out, kgeo.cli.SUMMARY_FILES["geodesic"])
 
 
 # ---------------------------------------------------------------------------

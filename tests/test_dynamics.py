@@ -385,6 +385,9 @@ def test_flow_validation(pot2):
         pseudo_calabi_flow(pot2, 0.01, -1e-3)
     with pytest.raises(ValueError):
         pseudo_calabi_flow(pot2, 1e-4, 1e-3)
+    for every in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            pseudo_calabi_flow(pot2, 0.01, 5e-3, sample_every=every)
 
 
 def test_flow_rejects_overflowing_step_count(spec1):

@@ -75,6 +75,14 @@ def test_positivity_violation(spec2):
     assert err.value.margin <= EPS_POS
 
 
+def test_nan_node_is_a_positivity_violation(spec2):
+    # every comparison with NaN is False, so the margin test must not be one
+    phi = 0.004 * random_field(spec2, seed=35)
+    phi[3, 5, 7, 9] = np.nan
+    with pytest.raises(PositivityViolation):
+        make_potential(spec2, phi)
+
+
 def test_volume_normalization(curved1, curved2):
     # node-mean of e^u is exactly 1 for dealiased potentials
     for pot in (curved1, curved2):
@@ -274,3 +282,18 @@ def test_green_solve_iteration_cap(curved2):
         green_solve(curved2, v, maxiter=1)
     assert err.value.iterations == 1
     assert err.value.residual is not None
+
+
+def test_green_solve_nan_breaks_down_at_once(curved2):
+    # a NaN right-hand side or warm start must not run to the iteration cap
+    # (the cap is lowered so that a regression fails instead of spinning)
+    v = ma_cross(curved2, random_field(curved2.spec, seed=62),
+                 random_field(curved2.spec, seed=63))
+    nan_v = v.copy()
+    nan_v[1, 2, 3, 4] = np.nan
+    nan_x0 = np.zeros(curved2.spec.shape)
+    nan_x0[0, 0, 0, 1] = np.nan
+    for rhs, x0 in ((nan_v, None), (v, nan_x0)):
+        with pytest.raises(NoConvergence) as err:
+            green_solve(curved2, rhs, x0=x0, maxiter=50)
+        assert err.value.iterations == 0

@@ -189,8 +189,11 @@ def test_integrate_trig_exact(spec1):
 
 
 def test_integrate_rejects_nonpositive_density(spec1):
-    with pytest.raises(ValueError):
-        integrate(spec1, np.ones(spec1.shape), density=np.zeros(spec1.shape))
+    nan_node = np.ones(spec1.shape)
+    nan_node[2, 3] = np.nan
+    for density in (np.zeros(spec1.shape), nan_node, -1.0, 0.0, np.nan):
+        with pytest.raises(ValueError):
+            integrate(spec1, np.ones(spec1.shape), density=density)
 
 
 # -------------------------------------------------------------- gradients --
