@@ -139,8 +139,12 @@ def _physical_memory():
         return None
 
 
-def load_config(path=None, overrides=None):
-    """Merge defaults, an optional JSON file and CLI overrides; validate."""
+def load_config(path=None, overrides=None, command=None):
+    """Merge defaults, an optional JSON file and CLI overrides; validate.
+
+    The geodesic's run plan (store_every dividing its steps, stored samples,
+    halvings) is checked only for the commands that run it; None checks all.
+    """
     cfg = {k: (dict(v) if isinstance(v, dict) else
                list(v) if isinstance(v, list) else v)
            for k, v in DEFAULTS.items()}
@@ -184,10 +188,16 @@ def load_config(path=None, overrides=None):
              "store_every must be a positive integer")
     nsteps = _capped_steps(cfg, "dt")
     _capped_steps(cfg, "flow_dt")
-    _require(cfg["store_every"] > nsteps or nsteps % cfg["store_every"] == 0,
+    shoots = command in (None, "geodesic", "energy")
+    _require(not shoots or cfg["store_every"] > nsteps
+             or nsteps % cfg["store_every"] == 0,
              "store_every must divide round(T/dt) or exceed it")
     _require(_is_int(cfg["halvings"]) and 0 <= cfg["halvings"] <= 4,
              "halvings must be an integer in 0..4")
+    # the finest halving level integrates round(T/dt) * 2^halvings steps
+    _require(command not in (None, "geodesic")
+             or nsteps * 2 ** cfg["halvings"] <= MAX_STEPS,
+             "T/dt times 2^halvings must be at most %d steps" % MAX_STEPS)
     _require(_is_int(cfg["nu_steps"]) and cfg["nu_steps"] >= 2,
              "nu_steps must be an integer >= 2")
     _require(isinstance(cfg["oracle"], bool), "oracle must be true or false")
@@ -198,7 +208,7 @@ def load_config(path=None, overrides=None):
                  "tolerance %r must be a finite number >= 0" % (name,))
     _require(isinstance(cfg["out"], str) and cfg["out"], "out must be a path")
 
-    samples = len(_stored_steps(nsteps, cfg["store_every"]))
+    samples = len(_stored_steps(nsteps, cfg["store_every"])) if shoots else 0
     need = cfg["grid"] ** (2 * cfg["n"]) * (BYTES_PER_NODE
                                              + BYTES_PER_NODE_SAMPLE * samples)
     have = _physical_memory()
@@ -509,7 +519,7 @@ def main(argv=None):
     overrides = {"out": args.out, "seed": args.seed, "n": args.n,
                  "grid": args.grid}
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, overrides, args.command)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -29,8 +29,8 @@ is tested against.
 import numpy as np
 
 from .torus import random_field
-from .state import (TangentVector, check_anchor, _c_parts, green_solve,
-                    laplacian, ma_cross, make_potential)
+from .state import (TangentVector, check_anchor, _c_parts, _sup_pencil_eig,
+                    green_solve, laplacian, ma_cross, make_potential)
 from .metrics import (MetricKind, DegeneratePlane, a_field,
                       covariant_derivative_at, gram_schmidt, grad_pairing,
                       inner, poisson_bracket)
@@ -155,24 +155,6 @@ def commutator_fd(pot, tv_psi, tv_chi, h):
 
     integrand = (ds_w - dt_u) * laplacian(pot, chi)
     return pot.eu_mean(integrand)
-
-
-def _sup_pencil_eig(pot, parts):
-    """Sup over nodes of the largest |generalized eigenvalue| of (C, g), C
-    given by its parts in the layout of hessian_parts: the operator norm of
-    the g-raised tensor."""
-    if pot.spec.n == 1:
-        return float(np.max(np.abs(parts[0] / pot.g11)))
-    x, z, yr, yi = parts
-    det_g = pot.e_u * pot.spec.det_flat
-    det_c = x * z - (yr * yr + yi * yi)
-    mixed = (x * pot.g22 + z * pot.g11
-             - 2.0 * (yr * pot.g12_re + yi * pot.g12_im))
-    disc = np.maximum(mixed ** 2 - 4.0 * det_g * det_c, 0.0)
-    root = np.sqrt(disc)
-    lam1 = (mixed + root) / (2.0 * det_g)
-    lam2 = (mixed - root) / (2.0 * det_g)
-    return float(np.max(np.maximum(np.abs(lam1), np.abs(lam2))))
 
 
 def _bound(pot, psi, a_ss):

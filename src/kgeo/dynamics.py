@@ -27,10 +27,11 @@ sample so refinement studies can read off convergence orders.
 
 import numpy as np
 
-from .torus import gradient_z, hessian_parts, holomorphic_parts
+from .torus import (gradient_z, hermitian_field, hessian_parts,
+                    holomorphic_hessian)
 from .state import (KahlerPotential, TangentVector, PositivityViolation,
-                    make_potential, _potential_raw, check_anchor, laplacian,
-                    ma_cross, green_solve)
+                    make_potential, _potential_raw, _raise, check_anchor,
+                    laplacian, ma_cross, green_solve)
 from .metrics import MetricKind, inner
 
 __all__ = [
@@ -430,37 +431,23 @@ def kenergy_second_derivative(pot, tv):
     """
     check_anchor(pot, tv)
     spec = pot.spec
+    n = spec.n
     psi = tv.psi
-    a = pot.ginv11
-    P = holomorphic_parts(spec, psi)
-    grad = gradient_z(spec, psi)
+    # |D2 psi|^2 = Re sum_ik Q_ik conj(P_ik), Q = g^-1 P g^-T: m[k] is column
+    # k of M = g^-1 P, and row i of Q = M g^-T is g^-1 on row i of M
+    P = holomorphic_hessian(spec, psi)
+    m = [_raise(pot, [P[..., i, k] for i in range(n)]) for k in range(n)]
+    Q = [_raise(pot, [m[k][i] for k in range(n)]) for i in range(n)]
+    d2 = sum((Q[i][k] * np.conj(P[..., i, k])).real
+             for i in range(n) for k in range(n))
+    # T_ij conj(v_i) v_j, T = Hess f + S g, raised gradient v = g^-1 d psi
     f = kenergy_gradient(pot).psi
     s = scalar_curvature(pot)
-    # T = Hess f + S g, in the layout of hessian_parts
-    T = [hp + s * gp for hp, gp in zip(hessian_parts(spec, f), pot.g_parts)]
-    if spec.n == 1:
-        d2 = a * a * np.abs(P[0]) ** 2
-        quad = T[0] * np.abs(a * grad[0]) ** 2
-    else:
-        # |D2 psi|^2 = Re sum_kl Q_kl conj(P_kl) with Q = g^-1 P (g^-1)^T,
-        # g^-1 = [[a, b], [conj b, c]] and the symmetric P = [[P11, P12],
-        # [P12, P22]]
-        c = pot.ginv22
-        b = pot.ginv12_re + 1j * pot.ginv12_im
-        bc = np.conj(b)
-        P11, P22, P12 = P
-        q11 = a * a * P11 + 2.0 * a * b * P12 + b * b * P22
-        q12 = a * bc * P11 + (a * c + np.abs(b) ** 2) * P12 + b * c * P22
-        q22 = bc * bc * P11 + 2.0 * bc * c * P12 + c * c * P22
-        d2 = (q11 * np.conj(P11) + 2.0 * q12 * np.conj(P12)
-              + q22 * np.conj(P22)).real
-        # T_ij conj(v_i) v_j with the raised gradient v = g^-1 d psi
-        v1 = a * grad[0] + b * grad[1]
-        v2 = bc * grad[0] + c * grad[1]
-        w = np.conj(v1) * v2
-        quad = (T[0] * np.abs(v1) ** 2 + T[1] * np.abs(v2) ** 2
-                + 2.0 * (T[2] * w.real - T[3] * w.imag))
-
+    T = hermitian_field([hp + s * gp for hp, gp in
+                         zip(hessian_parts(spec, f), pot.g_parts)])
+    v = _raise(pot, gradient_z(spec, psi))
+    quad = sum((T[..., i, j] * np.conj(v[i]) * v[j]).real
+               for i in range(n) for j in range(n))
     return pot.eu_mean(2.0 * d2 + quad)
 
 

@@ -12,9 +12,8 @@ import enum
 
 import numpy as np
 
-from .torus import gradient_z
-from .state import (TangentVector, check_anchor, green_solve, laplacian,
-                    ma_cross)
+from .state import (TangentVector, check_anchor, _grad_contraction,
+                    green_solve, laplacian, ma_cross)
 
 __all__ = [
     "MetricKind",
@@ -37,21 +36,6 @@ class MetricKind(enum.Enum):
 
 class DegeneratePlane(ValueError):
     """Vectors fail to span a plane under the requested pairing."""
-
-
-def _grad_contraction(pot, f, h):
-    # g^{jk} f_k conj(h_j); complex field, Hermitian in (f, h), with
-    # g^-1 = [[a, b], [conj b, c]]
-    spec = pot.spec
-    gf = gradient_z(spec, f)
-    hc = [np.conj(d) for d in (gf if h is f else gradient_z(spec, h))]
-    acc = pot.ginv11 * gf[0] * hc[0]
-    if spec.n == 2:
-        b = pot.ginv12_re + 1j * pot.ginv12_im
-        acc += b * gf[1] * hc[0]
-        acc += np.conj(b) * gf[0] * hc[1]
-        acc += pot.ginv22 * gf[1] * hc[1]
-    return acc
 
 
 def grad_pairing(pot, f, h):

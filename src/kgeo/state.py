@@ -8,7 +8,9 @@ the grid bandwidth, so the quadrature is exact).
 
 The metric and its inverse are stored as real component fields (structure of
 arrays), not as complex (..., n, n) tensors: every operator here contracts
-them with the parts of hessian_parts in closed 2x2 form.
+them with the parts of hessian_parts in closed 2x2 form. No other module
+reads a component field: they use the functions here or the layout-neutral
+g_parts, and index raising (g^-1 on n complex fields) is _raise alone.
 
 Tangent vectors are real fields with zero mean against e^u; additive constants
 are gauge and every operator here returns a fixed gauge representative.
@@ -16,7 +18,8 @@ are gauge and every operator here returns a fixed gauge representative.
 
 import numpy as np
 
-from .torus import dealias, hermitian_field, hessian_parts, rfft, irfft
+from .torus import (dealias, gradient_z, hermitian_field, hessian_parts, rfft,
+                    irfft)
 
 __all__ = [
     "EPS_POS",
@@ -38,6 +41,12 @@ __all__ = [
 ]
 
 EPS_POS = 1e-8
+
+# green_solve: PCG stopping residual (relative l2), allowed e^u-mean of the
+# source relative to its rms, and the sup norm of a source that counts as zero
+GREEN_TOL = 1e-10
+GREEN_TOL_MEAN = 1e-8
+GREEN_ATOL_FLOOR = 1e-12
 
 
 class PositivityViolation(Exception):
@@ -191,6 +200,31 @@ def project_tangent(pot, f):
     return TangentVector(pot, psi)
 
 
+def _raise(pot, x):
+    # g^-1 x for a list x of n complex fields, g^-1 = [[a, b], [conj b, c]]
+    a = pot.ginv11
+    if pot.spec.n == 1:
+        return [a * x[0]]
+    b = pot.ginv12_re + 1j * pot.ginv12_im
+    return [a * x[0] + b * x[1], np.conj(b) * x[0] + pot.ginv22 * x[1]]
+
+
+def _grad_contraction(pot, f, h):
+    # g^{jk} f_k conj(h_j); complex field, Hermitian in (f, h). Written out
+    # rather than through _raise: the recorded CLI outputs rest on this
+    # order of the four terms.
+    spec = pot.spec
+    gf = gradient_z(spec, f)
+    hc = [np.conj(d) for d in (gf if h is f else gradient_z(spec, h))]
+    acc = pot.ginv11 * gf[0] * hc[0]
+    if spec.n == 2:
+        b = pot.ginv12_re + 1j * pot.ginv12_im
+        acc += b * gf[1] * hc[0]
+        acc += np.conj(b) * gf[0] * hc[1]
+        acc += pot.ginv22 * gf[1] * hc[1]
+    return acc
+
+
 def _lap_parts(pot, parts):
     # tr(g^-1 H) = a f11 + c f22 + 2 (p Re f12 + q Im f12) with
     # g^-1 = [[a, p + iq], [p - iq, c]]; parts as hessian_parts returns them
@@ -202,14 +236,33 @@ def _lap_parts(pot, parts):
     return out
 
 
-def _mixed_det(pot, pf, ph):
-    # mixed determinant of Hf and Hh over det g, n = 2 only:
-    # (f11 h22 + f22 h11 - 2 Re(f12 conj h12)) / det g
+def _mixed(pf, ph):
+    # mixed determinant of two Hermitian 2x2 fields in the layout of
+    # hessian_parts: f11 h22 + f22 h11 - 2 Re(f12 conj h12)
     f11, f22, fre, fim = pf
     h11, h22, hre, him = ph
-    out = f11 * h22 + f22 * h11 - 2.0 * (fre * hre + fim * him)
-    out /= pot.e_u * pot.spec.det_flat
-    return out
+    return f11 * h22 + f22 * h11 - 2.0 * (fre * hre + fim * him)
+
+
+def _mixed_det(pot, pf, ph):
+    # mixed determinant of Hf and Hh over det g, n = 2 only
+    return _mixed(pf, ph) / (pot.e_u * pot.spec.det_flat)
+
+
+def _sup_pencil_eig(pot, parts):
+    """Sup over nodes of the largest |generalized eigenvalue| of (C, g), C
+    given by its parts in the layout of hessian_parts: the operator norm of
+    the g-raised tensor."""
+    if pot.spec.n == 1:
+        return float(np.max(np.abs(parts[0] / pot.g11)))
+    # the eigenvalues (mixed -+ root) / (2 det g) solve
+    # det g l^2 - mixed(C, g) l + det C = 0, with det C = mixed(C, C) / 2;
+    # det g > 0, so the larger modulus is (|mixed| + root) / (2 det g)
+    det_g = pot.e_u * pot.spec.det_flat
+    mixed = _mixed(parts, pot.g_parts)
+    disc = mixed ** 2 - 4.0 * det_g * (0.5 * _mixed(parts, parts))
+    root = np.sqrt(np.maximum(disc, 0.0))
+    return float(np.max((np.abs(mixed) + root) / (2.0 * det_g)))
 
 
 def laplacian(pot, f):
@@ -275,26 +328,15 @@ def c_divergence(pot, f):
     discrete value is at roundoff level.
     """
     spec = pot.spec
-    parts = _c_parts(pot, f)
-    a = pot.ginv11
-    if spec.n == 1:
-        columns = [[a * a * parts[0]]]
-    else:
-        # R = g^-1 C g^-1 with g^-1 = [[a, b], [conj b, c]] and
-        # C = [[x, y], [conj y, z]]; in this storage layout the raised
-        # tensor is the transpose of R, so its row i is column i of R
-        x, z, yr, yi = parts
-        c = pot.ginv22
-        b = pot.ginv12_re + 1j * pot.ginv12_im
-        y = yr + 1j * yi
-        re_by = pot.ginv12_re * yr + pot.ginv12_im * yi  # Re(conj(b) y)
-        bb = pot.ginv12_re ** 2 + pot.ginv12_im ** 2
-        r11 = a * a * x + 2.0 * a * re_by + bb * z
-        r22 = bb * x + 2.0 * c * re_by + c * c * z
-        r12 = a * b * x + b * b * np.conj(y) + a * c * y + b * c * z
-        columns = [[r11, np.conj(r12)], [r12, r22]]
+    n = spec.n
+    C = c_tensor(pot, f)
+    # M = g^-1 C column by column (m[k] is column k); R = M g^-1 is
+    # Hermitian, so its column i is the conjugate of its row i, which is
+    # g^-1 applied to the conjugated row i of M
+    m = [_raise(pot, [C[..., i, k] for i in range(n)]) for k in range(n)]
     worst = 0.0
-    for column in columns:
+    for i in range(n):
+        column = _raise(pot, [np.conj(m[k][i]) for k in range(n)])
         div = np.zeros(spec.shape, dtype=complex)
         for j, entry in enumerate(column):
             comp = np.fft.fftn(pot.e_u * entry)
@@ -321,8 +363,7 @@ def _flat_inverse(spec, r):
     return irfft(spec, spec.half_lap_inv * rfft(spec, r))
 
 
-def green_solve(pot, v, tol=1e-10, maxiter=None, tol_mean=1e-8, atol_floor=1e-12,
-                x0=None):
+def green_solve(pot, v, maxiter=None, x0=None):
     """Invert the metric Laplacian: returns w with lap w = v, e^u-mean zero.
 
     Preconditioned conjugate gradients on -lap (positive definite on mean-zero
@@ -331,22 +372,22 @@ def green_solve(pot, v, tol=1e-10, maxiter=None, tol_mean=1e-8, atol_floor=1e-12
     keeps it self-adjoint in the same inner product as the operator (a plain
     flat inverse is not, and conjugacy degrades on rough right-hand sides).
     Terminates when the plain l2 residual
-    satisfies ||lap w - v|| <= tol * ||v||; the iteration cap is
+    satisfies ||lap w - v|| <= GREEN_TOL * ||v||; the iteration cap is
     10 * N^(2n) (NoConvergence beyond it). x0 seeds the iteration (warm
     starts across nearby solves); the result does not depend on it beyond
     the tolerance.
 
-    Raises MeanNotZero when the e^u-mean of v exceeds tol_mean relative to the
-    rms of v. Right-hand sides below atol_floor in sup norm return zeros (the
-    solution is bounded by the inverse spectral gap times that floor).
+    Raises MeanNotZero when the e^u-mean of v exceeds GREEN_TOL_MEAN times
+    the rms of v. Right-hand sides below GREEN_ATOL_FLOOR in sup norm return
+    zeros (the solution is bounded by the inverse spectral gap times it).
     """
     spec = pot.spec
     v = np.asarray(v, dtype=float)
-    if float(np.max(np.abs(v))) <= atol_floor:
+    if float(np.max(np.abs(v))) <= GREEN_ATOL_FLOOR:
         return np.zeros(spec.shape)
     rms = float(np.sqrt(np.sum(v * v) / spec.nodes))
     mu = pot.eu_mean(v)
-    if abs(mu) > tol_mean * rms:
+    if abs(mu) > GREEN_TOL_MEAN * rms:
         raise MeanNotZero(
             "rhs has e^u-mean %.3e (rms %.3e); not solvable" % (mu, rms))
     b = -(v - mu)  # solve (-lap) w = -v on the mean-zero slice
@@ -370,11 +411,11 @@ def green_solve(pot, v, tol=1e-10, maxiter=None, tol_mean=1e-8, atol_floor=1e-12
     rz_old = 0.0
     for it in range(maxiter):
         rn = float(np.sqrt(np.sum(r * r)))
-        if rn <= tol * bnorm:
+        if rn <= GREEN_TOL * bnorm:
             # accept only against the true residual, not the recurrence
             r = b - apply_op(x)
             rn = float(np.sqrt(np.sum(r * r)))
-            if rn <= tol * bnorm:
+            if rn <= GREEN_TOL * bnorm:
                 break
         z = _flat_inverse(spec, e_u * r)
         z -= pot.eu_mean(z)

@@ -40,8 +40,9 @@ Nyquist planes these are Re s and Im s; on them -K mod N keeps the Nyquist
 component, so the parts match the complex transform of the full symbol to
 roundoff on full-band fields too. The symbol tables are built once per
 TorusSpec from the per-axis frequency arrays, laid out like the half
-spectrum. Kernels with complex output (gradient_z, holomorphic_parts)
-keep numpy.fft complex transforms over every axis.
+spectrum. Kernels with complex output (gradient_z and holomorphic_hessian
+here, c_divergence in kgeo.state) keep numpy.fft complex transforms over
+every axis.
 
 Dealiasing uses the 2/3 rule with per-axis integer cutoff N//3; because N is a
 power of two, triple products of dealiased fields stay strictly below the grid
@@ -63,7 +64,6 @@ __all__ = [
     "hermitian_field",
     "complex_hessian",
     "gradient_z",
-    "holomorphic_parts",
     "holomorphic_hessian",
     "flat_laplacian",
 ]
@@ -407,15 +407,6 @@ def complex_hessian(spec, f):
     return hermitian_field(hessian_parts(spec, f))
 
 
-def holomorphic_parts(spec, f):
-    """Entries of the pure Hessian f_{jk} = d^2 f / dz_j dz_k (symbol
-    sigma_j sigma_k): [f_11] for n = 1, [f_11, f_22, f_12] for n = 2, complex
-    grid arrays; one complex transform pair per entry."""
-    fh = np.fft.fftn(f)
-    pairs = [(0, 0)] if spec.n == 1 else [(0, 0), (1, 1), (0, 1)]
-    return [np.fft.ifftn(spec.sigma[j] * spec.sigma[k] * fh) for j, k in pairs]
-
-
 def holomorphic_hessian(spec, f):
     """Pure second derivatives f_{jk} = d^2 f / dz_j dz_k (symbol sigma_j sigma_k).
 
@@ -424,12 +415,12 @@ def holomorphic_hessian(spec, f):
     norm |D^2 psi|^2 in the second variation of the energy functional.
     """
     n = spec.n
-    parts = holomorphic_parts(spec, f)
+    fh = np.fft.fftn(f)
     out = np.empty(spec.shape + (n, n), dtype=complex)
-    out[..., 0, 0] = parts[0]
-    if n == 2:
-        out[..., 1, 1] = parts[1]
-        out[..., 0, 1] = out[..., 1, 0] = parts[2]
+    for j in range(n):
+        for k in range(j, n):
+            out[..., j, k] = np.fft.ifftn(spec.sigma[j] * spec.sigma[k] * fh)
+            out[..., k, j] = out[..., j, k]
     return out
 
 

@@ -80,7 +80,7 @@ def test_config_file_and_overrides(tmp_path):
     {"kmax": 0},
     {"halvings": 9},
     {"planes": 0},
-    {"store_every": 3, "T": 0.05, "dt": 0.01},  # does not divide 5 steps
+    {"store_every": 0},
     {"seed": -1},
     {"grid": 16.0},
     {"n": True},
@@ -121,6 +121,47 @@ def test_config_memory_budget(tmp_path, monkeypatch, capsys):
     with pytest.raises(ConfigError):
         load_config(path, {"grid": 128})
     assert load_config(path)["grid"] == 16
+
+
+def test_config_store_every_divides_only_geodesic_steps(tmp_path):
+    # store_every thins the geodesic's round(T/dt) = 10 steps, which 3 does
+    # not divide; the flow samples its own 100 steps and needs no divisor
+    path = _write_cfg(tmp_path, store_every=3)
+    out = str(tmp_path / "out")
+    with pytest.raises(ConfigError, match="store_every"):
+        load_config(path)
+    for command in ("geodesic", "energy"):
+        assert main([command, "--config", path, "--out", out]) == 2
+    for command in ("check", "curvature", "flow"):
+        assert load_config(path, command=command)["store_every"] == 3
+    assert main(["flow", "--config", path, "--out", out]) == 0
+    times = [float(row[1]) for row in _read_csv(out, "flow.csv")[1:]]
+    assert times == pytest.approx([0.0005 * s for s in range(0, 100, 3)] + [0.05])
+
+
+def test_config_stored_samples_count_only_for_geodesics(tmp_path, monkeypatch):
+    # 100001 stored geodesic samples at n=1 N=128 exceed 8 GiB; curvature
+    # and flow store none
+    monkeypatch.setattr(kgeo.cli, "_physical_memory", lambda: 8 * 2 ** 30)
+    path = _write_cfg(tmp_path, T=1.0, dt=1e-5)
+    for command in (None, "geodesic", "energy"):
+        with pytest.raises(ConfigError, match="100001 stored samples"):
+            load_config(path, {"grid": 128}, command)
+    for command in ("check", "curvature", "flow"):
+        assert load_config(path, {"grid": 128}, command)["grid"] == 128
+
+
+def test_config_halvings_count_against_the_step_cap(tmp_path):
+    # 10**6 steps at the base level, 16 * 10**6 at the finest of 4 halvings
+    path = _write_cfg(tmp_path, T=1.0, dt=1e-6, halvings=4)
+    with pytest.raises(ConfigError, match="halvings"):
+        load_config(path)
+    assert main(["geodesic", "--config", path,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert load_config(path, command="flow")["halvings"] == 4
+    assert load_config(_write_cfg(tmp_path, T=1.0, dt=1e-5, halvings=3,
+                                  store_every=10 ** 9),
+                       command="geodesic")["halvings"] == 3
 
 
 @pytest.mark.parametrize("T, dt, store_every", [

@@ -1,20 +1,25 @@
 """Closed 2x2 kernels against tensor formulas over the (n, n) axes.
 
 The metric is stored as real component fields, and the kernels that
-contract it (the gradient contraction behind grad_pairing and
-poisson_bracket, the pencil norm behind the Dirichlet bound, the second
+contract it (index raising, the gradient contraction behind grad_pairing
+and poisson_bracket, the pencil norm behind the Dirichlet bound, the second
 variation of the energy) are written out entrywise. The references below
 assemble the complex tensors pot.g and pot.g_inv and contract them with
 einsum or a per-node eigensolver. The closed forms sum in another order, so
-agreement is required to 1e-12 relative to the reference's size.
+agreement is required to 1e-12 relative to the reference's size. Only
+kgeo.state reads the component fields.
 """
+
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import kgeo
 from kgeo.torus import (build_spec, complex_hessian, gradient_z,
                         holomorphic_hessian, random_field)
-from kgeo.state import _potential_raw, c_tensor, project_tangent
+from kgeo.state import _potential_raw, _raise, c_tensor, project_tangent
 from kgeo.metrics import grad_pairing, poisson_bracket
 from kgeo.curvature import _c_parts, _sup_pencil_eig
 from kgeo.dynamics import (kenergy_gradient, kenergy_second_derivative,
@@ -35,6 +40,26 @@ def case(request):
 
 def _close(got, want):
     assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
+
+
+def test_raise_matches_einsum(case):
+    pot, f, h = case
+    x = [df + 1j * dh for df, dh in
+         zip(gradient_z(pot.spec, f), gradient_z(pot.spec, h))]
+    want = np.einsum("...jk,...k->...j", pot.g_inv, np.stack(x, axis=-1))
+    _close(np.stack(_raise(pot, x), axis=-1), want)
+
+
+def test_only_state_reads_metric_components():
+    names = re.compile(r"\b(g11|g22|g12_re|g12_im|"
+                       r"ginv11|ginv22|ginv12_re|ginv12_im)\b")
+    package = pathlib.Path(kgeo.__file__).parent
+    offenders = ["%s:%d" % (path.name, i)
+                 for path in sorted(package.glob("*.py"))
+                 if path.name != "state.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if names.search(line)]
+    assert offenders == []
 
 
 def test_grad_contraction_matches_tensor_sum(case):
