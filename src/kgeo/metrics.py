@@ -12,8 +12,9 @@ import enum
 
 import numpy as np
 
-from .state import (TangentVector, check_anchor, _grad_contraction,
-                    green_solve, laplacian, ma_cross)
+from .state import (TangentVector, check_anchor, _contract_gradients,
+                    _grad_contraction, green_solve, laplacian, ma_cross)
+from .torus import gradient_z
 
 __all__ = [
     "MetricKind",
@@ -62,18 +63,30 @@ def poisson_bracket(pot, f, h):
     return _grad_contraction(pot, f, h).imag
 
 
-def inner(kind, pot, tv1, tv2):
-    """Inner product of two tangent vectors anchored at pot."""
-    check_anchor(pot, tv1)
-    check_anchor(pot, tv2)
-    psi, chi = tv1.psi, tv2.psi
+def _image(kind, pot, tv):
+    # the image of tv, what the kind-pairing integrates, as a list of fields:
+    # the field, its Laplacian or its holomorphic gradient; linear in it
+    check_anchor(pot, tv)
     if kind is MetricKind.MABUCHI:
-        return pot.eu_mean(psi * chi)
+        return [tv.psi]
     if kind is MetricKind.CALABI:
-        return pot.eu_mean(laplacian(pot, psi) * laplacian(pot, chi))
+        return [laplacian(pot, tv.psi)]
     if kind is MetricKind.DIRICHLET:
-        return pot.eu_mean(grad_pairing(pot, psi, chi))
+        return gradient_z(pot.spec, tv.psi)
     raise ValueError("unknown metric kind %r" % (kind,))
+
+
+def _pair(kind, pot, x, y):
+    if kind is MetricKind.DIRICHLET:
+        return pot.eu_mean(2.0 * _contract_gradients(pot, x, y).real)
+    return pot.eu_mean(x[0] * y[0])
+
+
+def inner(kind, pot, tv1, tv2):
+    """Inner product of two tangent vectors at pot; one image per field."""
+    check_anchor(pot, tv2)
+    x = _image(kind, pot, tv1)
+    return _pair(kind, pot, x, x if tv2.psi is tv1.psi else _image(kind, pot, tv2))
 
 
 def gram_schmidt(kind, pot, vectors):
@@ -82,13 +95,15 @@ def gram_schmidt(kind, pot, vectors):
     Raises DegeneratePlane when a squared norm is zero or not finite, or when
     the Gram determinant of the inputs falls below 1e-12 times the product of
     the squared norms (numerically dependent vectors span no plane).
-    Modified Gram-Schmidt with one re-orthogonalization pass.
+    Modified Gram-Schmidt with one re-orthogonalization pass on (field,
+    image) pairs, images being linear: each input is transformed once.
     """
+    images = [_image(kind, pot, v) for v in vectors]
     m = len(vectors)
     gram = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            gram[i, j] = gram[j, i] = inner(kind, pot, vectors[i], vectors[j])
+            gram[i, j] = gram[j, i] = _pair(kind, pot, images[i], images[j])
     norms_sq = np.diag(gram)
     if not np.all((norms_sq > 0.0) & np.isfinite(norms_sq)):
         raise DegeneratePlane("squared norms %s: a zero or non-finite vector"
@@ -97,15 +112,16 @@ def gram_schmidt(kind, pot, vectors):
         raise DegeneratePlane(
             "Gram determinant %.3e below degeneracy threshold"
             % np.linalg.det(gram))
-    out = []
+    out = []  # each orthonormal vector as [field] + image
     for v in vectors:
-        w = v.psi.copy()
+        w = [v.psi] + images.pop(0)
         for _ in range(2):
             for e in out:
-                w -= inner(kind, pot, TangentVector(pot, w), e) * e.psi
-        nrm = inner(kind, pot, TangentVector(pot, w), TangentVector(pot, w))
-        out.append(TangentVector(pot, w / np.sqrt(nrm)))
-    return out
+                c = _pair(kind, pot, w[1:], e[1:])
+                w = [a - c * b for a, b in zip(w, e)]
+        scale = np.sqrt(_pair(kind, pot, w[1:], w[1:]))
+        out.append([a / scale for a in w])
+    return [TangentVector(pot, e[0]) for e in out]
 
 
 def a_field(pot, tv_psi, tv_chi):

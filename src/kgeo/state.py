@@ -210,18 +210,22 @@ def _raise(pot, x):
 
 
 def _grad_contraction(pot, f, h):
-    # g^{jk} f_k conj(h_j); complex field, Hermitian in (f, h). Written out
-    # rather than through _raise: the recorded CLI outputs rest on this
-    # order of the four terms.
-    spec = pot.spec
-    gf = gradient_z(spec, f)
-    hc = [np.conj(d) for d in (gf if h is f else gradient_z(spec, h))]
-    acc = pot.ginv11 * gf[0] * hc[0]
-    if spec.n == 2:
+    # g^{jk} f_k conj(h_j); complex field, Hermitian in (f, h)
+    gf = gradient_z(pot.spec, f)
+    return _contract_gradients(pot, gf, gf if h is f else gradient_z(pot.spec, h))
+
+
+def _contract_gradients(pot, gf, gh):
+    # _grad_contraction of the gradient_z lists of f and h. Written out, not
+    # through _raise: the recorded CLI outputs rest on this term order.
+    hc = np.conj(gh[0])  # one conjugate at a time: gh may be a kept image
+    acc = pot.ginv11 * gf[0] * hc
+    if pot.spec.n == 2:
         b = pot.ginv12_re + 1j * pot.ginv12_im
-        acc += b * gf[1] * hc[0]
-        acc += np.conj(b) * gf[0] * hc[1]
-        acc += pot.ginv22 * gf[1] * hc[1]
+        acc += b * gf[1] * hc
+        hc = np.conj(gh[1])
+        acc += np.conj(b) * gf[0] * hc
+        acc += pot.ginv22 * gf[1] * hc
     return acc
 
 
@@ -358,24 +362,35 @@ def laplacian_rate(pot, phi_t, psi, psi_t=None):
     return out
 
 
-def _flat_inverse(spec, r):
-    # preconditioner: inverse of minus the flat Laplacian, zero DC
-    return irfft(spec, spec.half_lap_inv * rfft(spec, r))
+def _flat_inverse(spec, wh):
+    # preconditioner on a half spectrum: inverse of minus lap0, zero DC
+    return spec.half_lap_inv * wh
+
+
+def _parseval(spec, ah, bh):
+    # grid sum of a * b from half spectra (halved-axis planes 0 and N/2 count
+    # once, the rest twice); np.sum, as a threaded BLAS dot changes bytes
+    prod = ah.real * bh.real + ah.imag * bh.imag
+    prod[1:-1] *= 2.0
+    return float(np.sum(prod)) / spec.nodes
 
 
 def green_solve(pot, v, maxiter=None, x0=None):
     """Invert the metric Laplacian: returns w with lap w = v, e^u-mean zero.
 
     Preconditioned conjugate gradients on -lap (positive definite on mean-zero
-    fields) in the e^u-weighted inner product, mean projection every iterate.
-    The preconditioner is r -> flat_inverse(e^u r): composing with the weight
-    keeps it self-adjoint in the same inner product as the operator (a plain
-    flat inverse is not, and conjugacy degrades on rough right-hand sides).
-    Terminates when the plain l2 residual
-    satisfies ||lap w - v|| <= GREEN_TOL * ||v||; the iteration cap is
-    10 * N^(2n) (NoConvergence beyond it). x0 seeds the iteration (warm
-    starts across nearby solves); the result does not depend on it beyond
-    the tolerance.
+    fields) in the e^u-weighted inner product. The preconditioner is
+    r -> flat_inverse(e^u r): composing with the weight keeps it self-adjoint
+    in the same inner product as the operator (a plain flat inverse is not,
+    and conjugacy degrades on rough right-hand sides). The iterate x, the
+    search direction p and (e^u r)^ are rfft half spectra, the residual r a
+    grid field. An iteration makes 4 irfft (1 at n = 1), the Hessian parts
+    of p, and one rfft, of e^u Ap, which gives p.Ap as a Parseval sum and
+    updates (e^u r)^. x is transformed back and e^u-mean projected once, at
+    the end. Terminates when the plain l2 residual satisfies ||lap w - v||
+    <= GREEN_TOL * ||v||; the iteration cap is 10 * N^(2n) (NoConvergence
+    beyond it). x0 seeds the iteration (warm starts across nearby solves);
+    the result does not depend on it beyond the tolerance.
 
     Raises MeanNotZero when the e^u-mean of v exceeds GREEN_TOL_MEAN times
     the rms of v. Right-hand sides below GREEN_ATOL_FLOOR in sup norm return
@@ -397,53 +412,52 @@ def green_solve(pot, v, maxiter=None, x0=None):
 
     e_u = pot.e_u
 
-    def apply_op(w):
-        return -laplacian(pot, w)
+    def apply_op(wh):  # -lap w from the half spectrum of w
+        return -_lap_parts(pot, [irfft(spec, sym * wh) for sym in spec.half_hess])
 
     if x0 is None:
-        x = np.zeros(spec.shape)
+        xh = np.zeros(spec.half_shape, dtype=complex)
         r = b.copy()
     else:
-        x = np.asarray(x0, dtype=float).copy()
-        x -= pot.eu_mean(x)
-        r = b - apply_op(x)
-    p = None
+        xh = rfft(spec, np.asarray(x0, dtype=float))
+        r = b - apply_op(xh)
+    sh = rfft(spec, e_u * r)
+    ph = None
     rz_old = 0.0
     for it in range(maxiter):
         rn = float(np.sqrt(np.sum(r * r)))
         if rn <= GREEN_TOL * bnorm:
             # accept only against the true residual, not the recurrence
-            r = b - apply_op(x)
+            r = b - apply_op(xh)
             rn = float(np.sqrt(np.sum(r * r)))
             if rn <= GREEN_TOL * bnorm:
                 break
-        z = _flat_inverse(spec, e_u * r)
-        z -= pot.eu_mean(z)
-        rz = float(np.sum(r * z * e_u))
+            sh = rfft(spec, e_u * r)
+        zh = _flat_inverse(spec, sh)
+        rz = _parseval(spec, sh, zh)
         if not rz > 0.0:
             # strictly positive for any SPD operator/preconditioner pair
             raise NoConvergence(
                 "preconditioner breakdown (r.z = %.3e)" % rz,
                 iterations=it, residual=rn / bnorm)
-        if p is None:
-            p = z
-        else:
-            p = z + (rz / rz_old) * p
+        ph = zh if ph is None else zh + (rz / rz_old) * ph
         rz_old = rz
-        ap = apply_op(p)
-        denom = float(np.sum(p * ap * e_u))
+        ap = apply_op(ph)
+        th = rfft(spec, e_u * ap)
+        denom = _parseval(spec, ph, th)
         if not denom > 0.0:
             raise NoConvergence(
                 "conjugate-gradient breakdown (curvature %.3e)" % denom,
                 iterations=it, residual=rn / bnorm)
         alpha = rz / denom
-        x += alpha * p
-        x -= pot.eu_mean(x)
+        xh += alpha * ph
         r -= alpha * ap
+        sh -= alpha * th
+        del ap, th  # free them before the next iteration allocates
     else:
         rn = float(np.sqrt(np.sum(r * r)))
         raise NoConvergence(
             "no convergence in %d iterations (residual %.3e)" % (maxiter, rn / bnorm),
             iterations=maxiter, residual=rn / bnorm)
-    x -= pot.eu_mean(x)
-    return x
+    x = irfft(spec, xh)
+    return x - pot.eu_mean(x)

@@ -414,10 +414,10 @@ def test_curvature_csv_dim1(tmp_path):
     assert b1 == b2
 
 
-def test_curvature_dim2_independent_of_blas_threads(tmp_path):
-    # the spectral transforms are BLAS matrix products; their results must
-    # not depend on how many threads BLAS is allowed to use
-    path = _write_cfg(tmp_path, planes=1)
+def _csv_at_blas_threads(tmp_path, command, cfg):
+    # run `kgeo <command> --n 2` in a subprocess at 1 and 2 BLAS threads;
+    # returns the bytes of <command>.csv of both runs
+    path = _write_cfg(tmp_path, **cfg)
     src = os.path.dirname(os.path.dirname(os.path.abspath(kgeo.cli.__file__)))
     outputs = []
     for threads in ("1", "2"):
@@ -427,12 +427,25 @@ def test_curvature_dim2_independent_of_blas_threads(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "kgeo.cli", "curvature", "--n", "2",
+            [sys.executable, "-m", "kgeo.cli", command, "--n", "2",
              "--config", path, "--out", out],
             env=env, capture_output=True, timeout=600)
         assert proc.returncode == 0, proc.stderr.decode()
-        with open(os.path.join(out, "curvature.csv"), "rb") as fh:
+        with open(os.path.join(out, command + ".csv"), "rb") as fh:
             outputs.append(fh.read())
+    return outputs
+
+
+def test_curvature_dim2_independent_of_blas_threads(tmp_path):
+    # the spectral transforms are BLAS matrix products; their results must
+    # not depend on how many threads BLAS is allowed to use
+    outputs = _csv_at_blas_threads(tmp_path, "curvature", {"planes": 1})
+    assert outputs[0] == outputs[1]
+
+
+def test_geodesic_dim2_independent_of_blas_threads(tmp_path):
+    # warm-started Green solves, with their half-spectrum Parseval sums
+    outputs = _csv_at_blas_threads(tmp_path, "geodesic", {"T": 0.01})
     assert outputs[0] == outputs[1]
 
 

@@ -143,6 +143,63 @@ def test_gram_schmidt_degenerate(curved2):
             gram_schmidt(MetricKind.DIRICHLET, curved2, [v, w])
 
 
+def _oracle_gram_schmidt(kind, pot, vectors):
+    # the inner-based modified Gram-Schmidt that transforms every projected
+    # field again; the vectors are known to span (no degeneracy checks)
+    out = []
+    for v in vectors:
+        w = v.psi.copy()
+        for _ in range(2):
+            for e in out:
+                w -= inner(kind, pot, TangentVector(pot, w), e) * e.psi
+        nrm = inner(kind, pot, TangentVector(pot, w), TangentVector(pot, w))
+        out.append(TangentVector(pot, w / np.sqrt(nrm)))
+    return out
+
+
+@pytest.mark.parametrize("n, N, amp", [(1, 32, 0.01), (2, 16, 0.004)])
+def test_gram_schmidt_matches_inner_oracle(n, N, amp):
+    spec = build_spec(n, N)
+    pot = make_potential(spec, amp * random_field(spec, seed=118))
+    vecs = [tv(pot, 119), tv(pot, 120), tv(pot, 121)]
+    for kind in KINDS:
+        got = gram_schmidt(kind, pot, vecs)
+        want = _oracle_gram_schmidt(kind, pot, vecs)
+        for e, f in zip(got, want):
+            scale = float(np.max(np.abs(f.psi)))
+            assert float(np.max(np.abs(e.psi - f.psi))) <= 1e-12 * scale
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    true_fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return true_fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_gram_schmidt_transforms_each_input_once(monkeypatch, curved2):
+    import kgeo.metrics
+    import kgeo.state
+    grads = (_count_calls(monkeypatch, kgeo.metrics, "gradient_z"),
+             _count_calls(monkeypatch, kgeo.state, "gradient_z"))
+    hess = _count_calls(monkeypatch, kgeo.state, "hessian_parts")
+    vecs = [tv(curved2, 122), tv(curved2, 123)]
+    expect = {MetricKind.MABUCHI: (0, 0), MetricKind.CALABI: (0, 2),
+              MetricKind.DIRICHLET: (2, 0)}
+    for kind, counts in expect.items():
+        for calls in grads + (hess,):
+            calls.clear()
+        gram_schmidt(kind, curved2, vecs)
+        assert (sum(map(len, grads)), len(hess)) == counts
+    hess.clear()
+    assert inner(MetricKind.CALABI, curved2, vecs[0], vecs[0]) > 0.0
+    assert len(hess) == 1
+
+
 # ---------------------------------------------------- auxiliary potential --
 
 def test_a_field_dim1_zero(spec1):

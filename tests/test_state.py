@@ -10,13 +10,14 @@ the Hessian-star of fields on different complex axes vanishes).
 import numpy as np
 import pytest
 
+import kgeo.state
 from kgeo.torus import (build_spec, random_field, dealias, flat_laplacian,
-                        complex_hessian)
+                        complex_hessian, rfft)
 from kgeo.state import (EPS_POS, PositivityViolation, MeanNotZero,
                         NoConvergence, make_potential, project_tangent,
                         check_anchor, laplacian, hess_star, ma_cross,
                         c_tensor, c_divergence, laplacian_rate, green_solve,
-                        TangentVector)
+                        TangentVector, _parseval)
 
 PI = np.pi
 
@@ -297,3 +298,37 @@ def test_green_solve_nan_breaks_down_at_once(curved2):
         with pytest.raises(NoConvergence) as err:
             green_solve(curved2, rhs, x0=x0, maxiter=50)
         assert err.value.iterations == 0
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (1, 32), (2, 16), (2, 32)])
+def test_parseval_sum_matches_grid_sum(n, N):
+    # full-band noise fills the 0 and N/2 planes of the halved axis, which
+    # count once in the half-spectrum sum
+    spec = build_spec(n, N)
+    rng = np.random.default_rng(64 + n)
+    f = rng.standard_normal(spec.shape)
+    h = rng.standard_normal(spec.shape)
+    for a, b in ((f, h), (f, f), (f, f + h)):
+        want = float(np.sum(a * b))
+        got = _parseval(spec, rfft(spec, a), rfft(spec, b))
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_green_solve_transform_budget(monkeypatch, curved2):
+    # a cold solve of k iterations: one rfft of e^u r to start and one per
+    # iteration; four irfft per iteration, four for the true residual and
+    # one for the result
+    calls = {}
+    for name in ("rfft", "irfft", "_flat_inverse"):
+        true_fn = getattr(kgeo.state, name)
+
+        def counting(*args, _name=name, _fn=true_fn, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(kgeo.state, name, counting)
+    v = ma_cross(curved2, random_field(curved2.spec, seed=65),
+                 random_field(curved2.spec, seed=66))
+    green_solve(curved2, v)
+    k = calls["_flat_inverse"]
+    assert k > 0
+    assert (calls["rfft"], calls["irfft"]) == (k + 1, 4 * k + 5)
