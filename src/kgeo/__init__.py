@@ -24,9 +24,9 @@ from .curvature import (CurvatureReport, sectional, commutator_fd,
                         dirichlet_bound, poincare_constant, sign_probe)
 from .dynamics import (Curve, FlowTrace, path_energy, path_length,
                        geodesic_rhs, integrate_geodesic, geodesic_residual,
-                       scalar_curvature, kenergy_gradient, kenergy,
-                       kenergy_quadrature, kenergy_second_derivative,
-                       pseudo_calabi_flow)
+                       scalar_curvature, kenergy_gradient,
+                       kenergy_gradient_solve, kenergy, kenergy_quadrature,
+                       kenergy_second_derivative, pseudo_calabi_flow)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "poincare_constant", "sign_probe",
     "Curve", "FlowTrace", "path_energy", "path_length", "geodesic_rhs",
     "integrate_geodesic", "geodesic_residual", "scalar_curvature",
-    "kenergy_gradient", "kenergy", "kenergy_quadrature",
-    "kenergy_second_derivative", "pseudo_calabi_flow",
+    "kenergy_gradient", "kenergy_gradient_solve", "kenergy",
+    "kenergy_quadrature", "kenergy_second_derivative", "pseudo_calabi_flow",
     "__version__",
 ]

@@ -28,7 +28,8 @@ from .metrics import MetricKind, DegeneratePlane
 from .curvature import sectional, commutator_fd
 from .dynamics import (integrate_geodesic, geodesic_residual, path_energy,
                        path_length, pseudo_calabi_flow, kenergy_quadrature,
-                       _step_count, _stored_steps)
+                       kenergy_gradient, kenergy_gradient_solve, _step_count,
+                       _stored_steps)
 from .fieldio import write_csv, write_json
 
 __all__ = ["ConfigError", "load_config", "cmd_check", "cmd_curvature",
@@ -142,8 +143,10 @@ def _physical_memory():
 def load_config(path=None, overrides=None, command=None):
     """Merge defaults, an optional JSON file and CLI overrides; validate.
 
-    The geodesic's run plan (store_every dividing its steps, stored samples,
-    halvings) is checked only for the commands that run it; None checks all.
+    Each command checks only the time step it takes: dt <= T, the geodesic's
+    step cap and run plan (store_every dividing its steps, stored samples,
+    halvings) for the commands that shoot a geodesic, flow_dt <= T and its
+    step cap for flow; None checks all.
     """
     cfg = {k: (dict(v) if isinstance(v, dict) else
                list(v) if isinstance(v, list) else v)
@@ -179,25 +182,29 @@ def load_config(path=None, overrides=None, command=None):
     for key in ("amp_phi", "amp_psi", "decay", "T", "dt", "flow_dt", "oracle_h"):
         _require(_is_real(cfg[key]), "%s must be a finite number" % key)
     _require(cfg["amp_phi"] >= 0.0 and cfg["amp_psi"] >= 0.0, "amplitudes must be >= 0")
-    _require(cfg["dt"] > 0.0 and cfg["T"] >= cfg["dt"], "need 0 < dt <= T")
-    _require(0.0 < cfg["flow_dt"] <= cfg["T"], "need 0 < flow_dt <= T")
+    _require(cfg["T"] > 0.0 and cfg["dt"] > 0.0 and cfg["flow_dt"] > 0.0,
+             "T, dt and flow_dt must be positive")
     _require(cfg["oracle_h"] > 0.0, "oracle_h must be positive")
     _require(cfg["kmax"] is None or (_is_int(cfg["kmax"]) and cfg["kmax"] >= 1),
              "kmax must be null or a positive integer")
     _require(_is_int(cfg["store_every"]) and cfg["store_every"] >= 1,
              "store_every must be a positive integer")
-    nsteps = _capped_steps(cfg, "dt")
-    _capped_steps(cfg, "flow_dt")
-    shoots = command in (None, "geodesic", "energy")
-    _require(not shoots or cfg["store_every"] > nsteps
-             or nsteps % cfg["store_every"] == 0,
-             "store_every must divide round(T/dt) or exceed it")
     _require(_is_int(cfg["halvings"]) and 0 <= cfg["halvings"] <= 4,
              "halvings must be an integer in 0..4")
-    # the finest halving level integrates round(T/dt) * 2^halvings steps
-    _require(command not in (None, "geodesic")
-             or nsteps * 2 ** cfg["halvings"] <= MAX_STEPS,
-             "T/dt times 2^halvings must be at most %d steps" % MAX_STEPS)
+    shoots = command in (None, "geodesic", "energy")
+    if shoots:
+        _require(cfg["dt"] <= cfg["T"], "need 0 < dt <= T")
+        nsteps = _capped_steps(cfg, "dt")
+        _require(cfg["store_every"] > nsteps
+                 or nsteps % cfg["store_every"] == 0,
+                 "store_every must divide round(T/dt) or exceed it")
+        # the finest halving level integrates round(T/dt) * 2^halvings steps
+        _require(command == "energy"
+                 or nsteps * 2 ** cfg["halvings"] <= MAX_STEPS,
+                 "T/dt times 2^halvings must be at most %d steps" % MAX_STEPS)
+    if command in (None, "flow"):
+        _require(cfg["flow_dt"] <= cfg["T"], "need 0 < flow_dt <= T")
+        _capped_steps(cfg, "flow_dt")
     _require(_is_int(cfg["nu_steps"]) and cfg["nu_steps"] >= 2,
              "nu_steps must be an integer >= 2")
     _require(isinstance(cfg["oracle"], bool), "oracle must be true or false")
@@ -453,6 +460,10 @@ def cmd_flow(cfg):
     # form at the initial state (they differ by aliasing on full-band fields)
     nu0 = float(trace.nu[0])
     quad = kenergy_quadrature(pot, steps=cfg["nu_steps"])
+    # and the gradient's Green-solve oracle against its closed form there
+    f_solve = kenergy_gradient_solve(pot).psi
+    scale = float(np.max(np.abs(f_solve)))
+    gap = float(np.max(np.abs(kenergy_gradient(pot).psi - f_solve)))
     rows = [[i, trace.times[i], trace.nu[i], trace.grad_norm[i]]
             for i in range(trace.times.size)]
     write_csv(os.path.join(cfg["out"], "flow.csv"),
@@ -463,6 +474,7 @@ def cmd_flow(cfg):
         "monotone": bool(np.all(increases <= 1e-10)),
         "final_nu": float(trace.nu[-1]),
         "nu_quadrature_gap": abs(quad - nu0) / abs(nu0) if nu0 != 0.0 else 0.0,
+        "gradient_solve_gap": gap / scale if scale > 0.0 else 0.0,
         "gradient_shrink": (float(trace.grad_norm[0] / trace.grad_norm[-1])
                             if trace.grad_norm[-1] > 0.0 else None)})
     return EXIT_OK

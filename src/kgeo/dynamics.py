@@ -19,10 +19,13 @@ nu(phi) = 2 mean(u e^u) (Mabuchi 1986; Chen 2000), which kenergy evaluates
 from the potential's own conformal factor. kenergy_quadrature keeps the path
 integral itself, by Gauss-Legendre quadrature, as the oracle; the two agree
 to roundoff on band-limited fields and differ by the aliasing of the discrete
-path integral on full-band ones. The Dirichlet gradient of nu is f itself;
-the downhill flow phi_t = -f is stepped explicitly. All time-dependent
-diagnostics (conservation drift, equation residuals) are reported per time
-sample so refinement studies can read off convergence orders.
+path integral on full-band ones. The Dirichlet gradient of nu is f itself,
+and since S = -lap_phi u it is the Ricci potential f = ubar - u (ubar the
+e^u-mean of u), with no Green solve (Chen & Zheng 2013);
+kenergy_gradient_solve keeps the solve as its oracle. The downhill flow
+phi_t = -f is stepped explicitly. All time-dependent diagnostics
+(conservation drift, equation residuals) are reported per time sample so
+refinement studies can read off convergence orders.
 """
 
 import numpy as np
@@ -44,6 +47,7 @@ __all__ = [
     "geodesic_residual",
     "scalar_curvature",
     "kenergy_gradient",
+    "kenergy_gradient_solve",
     "kenergy",
     "kenergy_quadrature",
     "kenergy_second_derivative",
@@ -369,14 +373,24 @@ def scalar_curvature(pot):
     return -laplacian(pot, pot.u)
 
 
-def kenergy_gradient(pot, x0=None):
+def kenergy_gradient(pot):
     """Dirichlet gradient of the energy functional: f with lap f = S, mean zero.
 
-    x0 warm-starts the Green solve (the flow passes its previous gradient).
+    Closed form: S = -lap u, so f = -u minus its e^u-mean, the Ricci
+    potential. It solves the discrete equation exactly (up to the roundoff
+    of mean S), with no Green solve and no Laplacian; zero at the flat base.
+    """
+    return TangentVector(pot, pot.eu_mean(pot.u) - pot.u)
+
+
+def kenergy_gradient_solve(pot):
+    """The gradient by its definition: the Green solve of S - mean S.
+
+    The oracle for kenergy_gradient, which it matches to the solver
+    tolerance; kgeo flow reports their gap at the initial state.
     """
     s = scalar_curvature(pot)
-    f = green_solve(pot, s - pot.eu_mean(s), x0=x0)
-    return TangentVector(pot, f)
+    return TangentVector(pot, green_solve(pot, s - pot.eu_mean(s)))
 
 
 def kenergy(pot):
@@ -455,26 +469,25 @@ def pseudo_calabi_flow(pot0, T, dt, sample_every=1):
     """Downhill flow of the energy functional: phi <- phi - dt * f.
 
     Explicit stepping with re-gauging through make_potential each step (exit
-    time attached to a PositivityViolation) and a gradient solve warm-started
-    from the previous gradient; the trace records the energy value and the
-    Dirichlet norm of the gradient at every sample_every-th step (plus the
-    initial and final states). The energy is evaluated from each sampled
+    time attached to a PositivityViolation) and the closed-form gradient
+    kenergy_gradient (nothing is solved); the trace records the energy value
+    and the Dirichlet norm of the gradient at every sample_every-th step (plus
+    the initial and final states). The energy is evaluated from each sampled
     state in closed form (kenergy), not from the flow's own increments, so
     monotonicity checks are independent of the stepper. The quadrature
-    oracle is not run here; kgeo flow reports its gap to kenergy at the
-    initial state.
+    and gradient-solve oracles are not run here; kgeo flow reports their gaps
+    at the initial state.
     """
     spec = pot0.spec
     nsteps = _step_count(T, dt)
     keep = set(_stored_steps(nsteps, sample_every))
     pot = pot0
-    grad = kenergy_gradient(pot)
     samples = []
     for step in range(nsteps + 1):
         if step > 0:
             pot = _guarded(make_potential, spec, pot.phi - dt * grad.psi,
                            step * dt, "flow")
-            grad = kenergy_gradient(pot, x0=grad.psi)
+        grad = kenergy_gradient(pot)
         if step in keep:
             norm = np.sqrt(max(inner(MetricKind.DIRICHLET, pot, grad, grad), 0.0))
             samples.append((step * dt, kenergy(pot), norm))

@@ -98,7 +98,25 @@ def test_config_rejections(tmp_path, bad):
     path = _write_cfg(tmp_path, **bad)
     with pytest.raises(ConfigError):
         load_config(path)
-    assert main(["check", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    # a time step is refused by the command that takes it
+    command = ("flow" if "flow_dt" in bad else
+               "geodesic" if "dt" in bad else "check")
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("curvature", {"T": 0.001}),
+    ("flow", {"T": 0.001}),
+    ("geodesic", {"T": 0.0002, "dt": 0.0001}),
+    ("curvature", {"T": 1.0, "flow_dt": 1e-7}),
+])
+def test_config_step_checked_only_where_taken(tmp_path, command, cfg):
+    # dt <= T and its step cap bind only the geodesic commands, flow_dt <= T
+    # and its cap only flow
+    path = _write_cfg(tmp_path, **cfg)
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_config_memory_budget(tmp_path, monkeypatch, capsys):
@@ -447,6 +465,16 @@ def test_geodesic_dim2_independent_of_blas_threads(tmp_path):
     # warm-started Green solves, with their half-spectrum Parseval sums
     outputs = _csv_at_blas_threads(tmp_path, "geodesic", {"T": 0.01})
     assert outputs[0] == outputs[1]
+
+
+def test_flow_dim2_independent_of_blas_threads(tmp_path):
+    # closed-form gradients, and the one Green solve of the oracle
+    outputs = _csv_at_blas_threads(tmp_path, "flow", {"T": 0.002})
+    assert outputs[0] == outputs[1]
+    gaps = [_read_json(str(tmp_path / ("threads" + threads)),
+                       "flow_summary.json")["gradient_solve_gap"]
+            for threads in ("1", "2")]
+    assert gaps[0] == gaps[1]
 
 
 def test_curvature_dim1_roundoff_source_regression(tmp_path):

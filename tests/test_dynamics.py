@@ -11,14 +11,26 @@ Anchors and expectations:
   term); on an actual Dirichlet geodesic the Calabi residual stays O(1).
 * At the flat potential: S = 0, nu = 0, the flow is exactly stationary, and
   the second derivative of nu along t -> t cos(2 pi x_1) is 4 pi^4.
+* The closed-form gradient f = ubar - u solves the discrete equation
+  lap f = S - mean S to roundoff and matches its Green-solve oracle to the
+  solver tolerance; the flow makes no Green solve, kgeo flow exactly one.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
 
+import kgeo.cli
+import kgeo.curvature
+import kgeo.dynamics
+import kgeo.metrics
 from kgeo.torus import build_spec, random_field
 from kgeo.state import (
     PositivityViolation,
+    green_solve,
+    laplacian,
     make_potential,
     project_tangent,
 )
@@ -29,6 +41,8 @@ from kgeo.dynamics import (
     geodesic_rhs,
     integrate_geodesic,
     kenergy,
+    kenergy_gradient,
+    kenergy_gradient_solve,
     kenergy_quadrature,
     kenergy_second_derivative,
     path_energy,
@@ -360,6 +374,94 @@ def test_kenergy_second_derivative_twin(spec2):
     nus = [kenergy(curve.potential(i)) for i in range(3)]
     fd = (nus[2] - 2.0 * nus[1] + nus[0]) / h ** 2
     assert abs(fd - closed) / abs(closed) <= 2e-2
+
+
+# ---------------------------------------------------------------------------
+# The energy's Dirichlet gradient in closed form
+
+
+def _gradient_states(spec, amp, kmaxes):
+    return [make_potential(spec, amp * random_field(spec, seed=seed, kmax=kmax))
+            for seed in (1, 2, 3) for kmax in kmaxes]
+
+
+def _sup_gap(f, g):
+    return float(np.max(np.abs(f - g)) / np.max(np.abs(g)))
+
+
+def test_kenergy_gradient_matches_solve_dim2(spec2):
+    # full-band and band-limited states; the solve stops at its tolerance
+    for pot in _gradient_states(spec2, 0.004, (None, 3)):
+        f = kenergy_gradient(pot).psi
+        assert _sup_gap(f, kenergy_gradient_solve(pot).psi) <= 1e-8
+
+
+@pytest.mark.parametrize("grid", [32, 64])
+def test_kenergy_gradient_matches_solve_dim1(grid):
+    spec = build_spec(1, grid)
+    for pot in _gradient_states(spec, 0.01, (None,)):
+        f = kenergy_gradient(pot).psi
+        assert _sup_gap(f, kenergy_gradient_solve(pot).psi) <= 1e-13
+
+
+def test_kenergy_gradient_solves_the_discrete_equation(spec2):
+    # S = -lap u, so lap(ubar - u) = S exactly but for the roundoff of mean S
+    states = (_gradient_states(spec2, 0.004, (None, 3))
+              + _gradient_states(build_spec(1, 32), 0.01, (None,)))
+    for pot in states:
+        f = kenergy_gradient(pot).psi
+        s = scalar_curvature(pot)
+        resid = laplacian(pot, f) - (s - pot.eu_mean(s))
+        assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(s))
+        assert abs(pot.eu_mean(f)) <= 1e-15 * np.max(np.abs(f))
+
+
+def test_kenergy_gradient_flat_is_zero(flat2):
+    assert np.all(kenergy_gradient(flat2).psi == 0.0)
+
+
+def _count_green_solves(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return green_solve(*args, **kwargs)
+
+    for module in (kgeo.dynamics, kgeo.metrics, kgeo.curvature, kgeo.cli):
+        monkeypatch.setattr(module, "green_solve", counting)
+    return calls
+
+
+def test_flow_makes_no_green_solve(pot2, monkeypatch):
+    calls = _count_green_solves(monkeypatch)
+    pseudo_calabi_flow(pot2, 0.002, 5e-4)
+    assert calls == []
+
+
+def _flow_summary(tmp_path, **cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "out")
+    assert kgeo.cli.main(["flow", "--config", str(path), "--out", out]) == 0
+    with open(os.path.join(out, "flow_summary.json")) as fh:
+        return json.load(fh)
+
+
+def test_kgeo_flow_solves_once_for_its_oracle(tmp_path, monkeypatch):
+    calls = _count_green_solves(monkeypatch)
+    _flow_summary(tmp_path, n=2, T=0.001)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cfg, gap", [
+    ({"n": 2, "amp_phi": 0.0}, 0.0),
+    ({"n": 1, "amp_phi": 0.01}, 1e-13),
+    ({"n": 2}, 1e-8),
+])
+def test_flow_reports_gradient_solve_gap(tmp_path, cfg, gap):
+    # from the flat start both gradients are exactly 0
+    found = _flow_summary(tmp_path, T=0.001, **cfg)["gradient_solve_gap"]
+    assert 0.0 <= found <= gap
 
 
 # ---------------------------------------------------------------------------
