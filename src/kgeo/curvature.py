@@ -13,14 +13,18 @@ used by `sectional` is
               - mean( a(psi,chi) P(psi,chi) e^u ) ],
 
 with a(.,.) the auxiliary potential of metrics.a_field and P the
-Monge-Ampere cross term it inverts. Integrating by parts turns this into
-the equivalent gradient form
+Monge-Ampere cross term it inverts; it reads two solves, not three.
+Integrating by parts turns it into the equivalent gradient form
 
     1/8 mean( |d a(psi,chi)|_g^2 e^u )
         - 1/8 mean( (d a(psi,psi), d a(chi,chi))_g e^u ),
 
-which is reported in the diagnostics; the two agree exactly at the flat
-potential and to aliasing order away from it (the a-solves are full-band).
+which needs a(chi,chi) too and is solved on demand by
+CurvatureReport.gradient_form. The two agree exactly at the flat potential
+and to aliasing order away from it: lap_phi is self-adjoint in the e^u
+pairing to roundoff on 2/3-band fields but only to aliasing order on the
+full-band solved a's (1e-4 of K on a seeded n=2 plane at N=16), and so is
+<a(psi,psi), P(chi,chi)> = <P(psi,psi), a(chi,chi)>.
 `commutator_fd` evaluates the numerator directly by nested central
 differences of the covariant derivative and is the oracle the closed form
 is tested against.
@@ -51,8 +55,9 @@ class CurvatureReport:
     kind: MetricKind; value: the curvature; plane: the orthonormalized pair
     of tangent vectors actually used; diagnostics: dict of residuals and
     auxiliary quantities from the intermediate solves; aux: the solved
-    auxiliary potentials a_ss, a_st, a_tt of the plane (Dirichlet only,
-    empty otherwise), so that callers need not solve them again.
+    auxiliary potentials a_ss, a_st of the plane (Dirichlet only, empty
+    otherwise), so that callers need not solve them again; a_tt joins them
+    once gradient_form() has solved it.
     """
 
     def __init__(self, kind, value, plane, diagnostics):
@@ -68,6 +73,22 @@ class CurvatureReport:
             raise ValueError("only a Dirichlet report carries a bound")
         e1 = self.plane[0]
         return _bound(e1.base, e1.psi, self.aux["a_ss"])
+
+    def gradient_form(self):
+        """The gradient form of the value; solves a_tt on the first call."""
+        if self.kind is not MetricKind.DIRICHLET:
+            raise ValueError("only a Dirichlet report has a gradient form")
+        diag = self.diagnostics
+        if "gradient_form" not in diag:
+            pot, chi = self.plane[1].base, self.plane[1].psi
+            a_ss, a_st = self.aux["a_ss"], self.aux["a_st"]
+            rhs_tt = ma_cross(pot, chi, chi)
+            a_tt = self.aux["a_tt"] = green_solve(pot, rhs_tt)
+            diag["residual_a_tt"] = _solve_residual(pot, a_tt, rhs_tt)
+            diag["gradient_form"] = \
+                0.125 * pot.eu_mean(grad_pairing(pot, a_st, a_st)) \
+                - 0.125 * pot.eu_mean(grad_pairing(pot, a_ss, a_tt))
+        return diag["gradient_form"]
 
     def __repr__(self):
         return "CurvatureReport(%s, value=%.6g)" % (self.kind.value, self.value)
@@ -103,18 +124,11 @@ def sectional(kind, pot, tv1, tv2):
     rhs_tt = ma_cross(pot, e2.psi, e2.psi)
     a_st = green_solve(pot, rhs_st)
     a_ss = green_solve(pot, rhs_ss)
-    a_tt = green_solve(pot, rhs_tt)
     value = 0.25 * (pot.eu_mean(a_ss * rhs_tt) - pot.eu_mean(a_st * rhs_st))
-    gradient_form = 0.125 * pot.eu_mean(grad_pairing(pot, a_st, a_st)) \
-        - 0.125 * pot.eu_mean(grad_pairing(pot, a_ss, a_tt))
-    diagnostics = {
-        "gradient_form": gradient_form,
+    report = CurvatureReport(kind, value, (e1, e2), {
         "residual_a_st": _solve_residual(pot, a_st, rhs_st),
-        "residual_a_ss": _solve_residual(pot, a_ss, rhs_ss),
-        "residual_a_tt": _solve_residual(pot, a_tt, rhs_tt),
-    }
-    report = CurvatureReport(kind, value, (e1, e2), diagnostics)
-    report.aux.update(a_ss=a_ss, a_st=a_st, a_tt=a_tt)
+        "residual_a_ss": _solve_residual(pot, a_ss, rhs_ss)})
+    report.aux.update(a_ss=a_ss, a_st=a_st)
     return report
 
 
@@ -218,6 +232,7 @@ def sign_probe(pot, tv1, tv2, const_tol=1e-9):
     no constancy holds, so no sign is implied).
     """
     report = sectional(MetricKind.DIRICHLET, pot, tv1, tv2)
+    report.gradient_form()  # solves a_tt
     flags = {"%s_constant" % name: float(np.max(np.abs(a))) < const_tol
              for name, a in report.aux.items()}
     value = report.value

@@ -338,12 +338,13 @@ def test_check_builds_each_plane_once(tmp_path, monkeypatch):
 
 
 def test_check_dim2_solves_once_per_auxiliary_potential(tmp_path, monkeypatch):
-    # one round-trip solve and the three a-solves of the Dirichlet plane;
-    # the bound reuses a(psi, psi)
+    # one round-trip solve and the two a-solves of the Dirichlet plane
+    # (its value reads a(psi, psi) and a(psi, chi) only); the bound reuses
+    # a(psi, psi)
     calls = _count_green_solves(monkeypatch)
     path = _write_cfg(tmp_path, n=2, planes=1)
     assert main(["check", "--config", path, "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_geodesic_builds_each_potential_once(tmp_path, monkeypatch):
@@ -529,11 +530,13 @@ def test_curvature_builds_each_plane_once(tmp_path, monkeypatch):
 
 
 def test_curvature_solves_each_auxiliary_potential_once(tmp_path, monkeypatch):
+    # a(psi, psi) and a(psi, chi); the bound reuses a(psi, psi), and
+    # a(chi, chi) is solved only for the gradient form, which no row reads
     calls = _count_green_solves(monkeypatch)
     path = _write_cfg(tmp_path, n=2, planes=1, kinds=["Dirichlet"])
     out = str(tmp_path / "out")
     assert main(["curvature", "--config", path, "--out", out]) == 0
-    assert len(calls) == 3
+    assert len(calls) == 2
     row = _read_csv(out, "curvature.csv")[1]
     assert float(row[5]) >= abs(float(row[4]))  # bound dominates
 

@@ -116,8 +116,7 @@ def test_dirichlet_flat_engineered_anchor(flat2):
     rep = sectional(MetricKind.DIRICHLET, flat2, tv1, tv2)
     assert rep.value == pytest.approx(np.pi ** 2 / 16.0, rel=1e-8)
     # the gradient-form evaluation of the same quantity agrees
-    assert rep.diagnostics["gradient_form"] == pytest.approx(
-        rep.value, rel=1e-8)
+    assert rep.gradient_form() == pytest.approx(rep.value, rel=1e-8)
     # the a-priori bound is attained on this plane (rho_2 = 0)
     bnd = dirichlet_bound(flat2, tv1)
     assert bnd == pytest.approx(np.pi ** 2 / 16.0, rel=1e-8)
@@ -137,11 +136,12 @@ def test_dirichlet_matches_commutator_oracle(curved2):
 def test_dirichlet_diagnostics_and_gradient_form(curved2):
     rep = sectional(MetricKind.DIRICHLET, curved2,
                     _tv(curved2, 501), _tv(curved2, 502))
+    gradient_form = rep.gradient_form()
     for key in ("residual_a_st", "residual_a_ss", "residual_a_tt"):
         assert rep.diagnostics[key] <= 1e-8
     # the two evaluations agree up to the aliasing tail of the N=16 grid
     # (measured 4.1e-3 here; the same plane on N=32 gives 1.1e-7)
-    assert abs(rep.diagnostics["gradient_form"] - rep.value) <= 1e-2
+    assert abs(gradient_form - rep.value) <= 1e-2
 
 
 def test_sectional_rejects_unknown_kind(curved2):
@@ -194,17 +194,39 @@ def _count_green_solves(monkeypatch):
 def test_report_bound_reuses_solved_a_ss(curved2, monkeypatch):
     tv1, tv2 = _tv(curved2, 611), _tv(curved2, 711)
     rep = sectional(MetricKind.DIRICHLET, curved2, tv1, tv2)
-    assert sorted(rep.aux) == ["a_ss", "a_st", "a_tt"]
+    assert sorted(rep.aux) == ["a_ss", "a_st"]
     calls = _count_green_solves(monkeypatch)
-    bound = rep.bound()
+    value, bound = rep.value, rep.bound()
     assert calls == []
     assert bound == pytest.approx(dirichlet_bound(curved2, rep.plane[0]),
                                   rel=1e-12)
+    # the gradient form solves a(chi, chi) once, on its first call
+    calls.clear()  # dirichlet_bound above solved a(psi, psi) afresh
+    gradient_form = rep.gradient_form()
+    assert len(calls) == 1
+    assert rep.gradient_form() == gradient_form
+    assert len(calls) == 1
+    assert sorted(rep.aux) == ["a_ss", "a_st", "a_tt"]
+    assert rep.value == value and rep.bound() == bound
     for kind in (MetricKind.MABUCHI, MetricKind.CALABI):
         other = sectional(kind, curved2, tv1, tv2)
         assert other.aux == {}
         with pytest.raises(ValueError):
             other.bound()
+        with pytest.raises(ValueError):
+            other.gradient_form()
+
+
+@pytest.mark.parametrize("seed", [621, 622, 623])
+def test_dirichlet_curvature_is_a_function_of_the_plane(curved2, seed):
+    # (psi, chi) -> (3 psi, -0.5 chi + 0.7 psi) spans the same plane
+    tv1, tv2 = _tv(curved2, seed), _tv(curved2, seed + 100)
+    rep = sectional(MetricKind.DIRICHLET, curved2, tv1, tv2)
+    other = sectional(
+        MetricKind.DIRICHLET, curved2, project_tangent(curved2, 3.0 * tv1.psi),
+        project_tangent(curved2, -0.5 * tv2.psi + 0.7 * tv1.psi))
+    assert other.value == pytest.approx(rep.value, rel=1e-12)
+    assert other.bound() == pytest.approx(rep.bound(), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
