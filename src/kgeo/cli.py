@@ -51,10 +51,6 @@ SUMMARY_FILES = {
     "energy": "energy_summary.json",
 }
 
-KIND_NAMES = {"Dirichlet": MetricKind.DIRICHLET,
-              "Mabuchi": MetricKind.MABUCHI,
-              "Calabi": MetricKind.CALABI}
-
 # the most time steps one integration may take
 MAX_STEPS = 10 ** 6
 
@@ -176,12 +172,14 @@ def load_config(path=None, overrides=None, command=None):
              "seed must be an unsigned integer")
     _require(_is_int(cfg["planes"]) and 1 <= cfg["planes"] <= 10000,
              "planes must be a positive integer")
+    kind_names = sorted(kind.value for kind in MetricKind)
     _require(isinstance(cfg["kinds"], list) and cfg["kinds"]
-             and all(k in KIND_NAMES for k in cfg["kinds"]),
-             "kinds must be a nonempty list drawn from %s" % sorted(KIND_NAMES))
+             and all(isinstance(k, str) and k in kind_names for k in cfg["kinds"]),
+             "kinds must be a nonempty list drawn from %s" % kind_names)
     for key in ("amp_phi", "amp_psi", "decay", "T", "dt", "flow_dt", "oracle_h"):
         _require(_is_real(cfg[key]), "%s must be a finite number" % key)
     _require(cfg["amp_phi"] >= 0.0 and cfg["amp_psi"] >= 0.0, "amplitudes must be >= 0")
+    _require(cfg["decay"] > 1.0, "decay must exceed 1")
     _require(cfg["T"] > 0.0 and cfg["dt"] > 0.0 and cfg["flow_dt"] > 0.0,
              "T, dt and flow_dt must be positive")
     _require(cfg["oracle_h"] > 0.0, "oracle_h must be positive")
@@ -205,8 +203,8 @@ def load_config(path=None, overrides=None, command=None):
     if command in (None, "flow"):
         _require(cfg["flow_dt"] <= cfg["T"], "need 0 < flow_dt <= T")
         _capped_steps(cfg, "flow_dt")
-    _require(_is_int(cfg["nu_steps"]) and cfg["nu_steps"] >= 2,
-             "nu_steps must be an integer >= 2")
+    _require(_is_int(cfg["nu_steps"]) and 2 <= cfg["nu_steps"] <= MAX_STEPS,
+             "nu_steps must be an integer in 2..%d" % MAX_STEPS)
     _require(isinstance(cfg["oracle"], bool), "oracle must be true or false")
     _require(isinstance(cfg["tolerances"], dict), "tolerances must be an object")
     for name, value in cfg["tolerances"].items():
@@ -216,14 +214,15 @@ def load_config(path=None, overrides=None, command=None):
     _require(isinstance(cfg["out"], str) and cfg["out"], "out must be a path")
 
     samples = len(_stored_steps(nsteps, cfg["store_every"])) if shoots else 0
-    need = cfg["grid"] ** (2 * cfg["n"]) * (BYTES_PER_NODE
-                                             + BYTES_PER_NODE_SAMPLE * samples)
+    nodes = cfg["nu_steps"] if command in (None, "flow") else 0  # leggauss: nodes^2 floats
+    need = (cfg["grid"] ** (2 * cfg["n"])
+            * (BYTES_PER_NODE + BYTES_PER_NODE_SAMPLE * samples) + 8 * nodes ** 2)
     have = _physical_memory()
     if have is not None:
         _require(need <= have,
-                 "n=%d, grid=%d with %d stored samples needs an estimated "
-                 "%.1f GiB, more than the %.1f GiB of physical memory"
-                 % (cfg["n"], cfg["grid"], samples, need / 2 ** 30,
+                 "n=%d, grid=%d with %d stored samples and %d quadrature nodes "
+                 "needs an estimated %.1f GiB, more than the %.1f GiB of physical memory"
+                 % (cfg["n"], cfg["grid"], samples, nodes, need / 2 ** 30,
                     have / 2 ** 30))
     return cfg
 
@@ -263,7 +262,8 @@ def _plane_checks(pot, tv1, tv2):
     lap = state_mod.laplacian
 
     def self_adjoint():
-        # of the metric Laplacian in the e^u pairing
+        # of the metric Laplacian in the e^u pairing: to roundoff on these
+        # band-limited tangents, to aliasing order on green_solve's iterates
         lhs = pot.eu_mean(p * lap(pot, q))
         rhs = pot.eu_mean(q * lap(pot, p))
         return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
@@ -386,7 +386,7 @@ def cmd_curvature(cfg):
             continue
         for base in bases:
             try:
-                cells = _curvature_cells(cfg, KIND_NAMES[base[0]], pot, tv1, tv2)
+                cells = _curvature_cells(cfg, MetricKind(base[0]), pot, tv1, tv2)
             except LIBRARY_ERRORS as exc:
                 failed = True
                 cells = _error_cells(exc)

@@ -198,23 +198,23 @@ def dirichlet_bound(pot, tv_psi):
     return _bound(pot, psi.psi, a_field(pot, psi, psi))
 
 
-def poincare_constant(pot, iterations=50, tol=1e-8, seed=1):
+def poincare_constant(pot):
     """Smallest nonzero eigenvalue of -lap on mean-zero fields.
 
     Inverse-power iteration through green_solve in the e^u-weighted inner
-    product. Flat value is 2 pi^2. Diagnostic quantity (reported alongside
-    curvature bounds, not a factor of them).
+    product from random_field seed 1, at most 50 iterations, to 1e-8
+    relative change. Flat value is 2 pi^2. Diagnostic quantity (reported
+    alongside curvature bounds, not a factor of them).
     """
-    spec = pot.spec
-    x = random_field(spec, seed=seed)
+    x = random_field(pot.spec, seed=1)
     x -= pot.eu_mean(x)
     lam = None
-    for _ in range(iterations):
+    for _ in range(50):
         y = -green_solve(pot, x - pot.eu_mean(x))
         num = pot.eu_mean(y * x)
         den = pot.eu_mean(y * y)
         est = num / den  # Rayleigh quotient of (-lap)^{-1} inverted
-        if lam is not None and abs(est - lam) <= tol * abs(est):
+        if lam is not None and abs(est - lam) <= 1e-8 * abs(est):
             lam = est
             break
         lam = est
@@ -222,18 +222,19 @@ def poincare_constant(pot, iterations=50, tol=1e-8, seed=1):
     return float(lam)
 
 
-def sign_probe(pot, tv1, tv2, const_tol=1e-9):
+def sign_probe(pot, tv1, tv2):
     """Classify which auxiliary potentials are constant and the implied sign.
 
     After Dirichlet orthonormalization: constancy of a(psi,psi) or
     a(chi,chi) implies K_D >= 0 (first curvature term alone); constancy of
-    a(psi,chi) leaves the nonpositive term. Returns a dict with the three
+    a(psi,chi) leaves the nonpositive term; an auxiliary potential is
+    constant when its sup norm is below 1e-9. Returns a dict with the three
     constancy flags, the curvature value, and `sign_consistent` (None when
     no constancy holds, so no sign is implied).
     """
     report = sectional(MetricKind.DIRICHLET, pot, tv1, tv2)
     report.gradient_form()  # solves a_tt
-    flags = {"%s_constant" % name: float(np.max(np.abs(a))) < const_tol
+    flags = {"%s_constant" % name: float(np.max(np.abs(a))) < 1e-9
              for name, a in report.aux.items()}
     value = report.value
     consistent = None

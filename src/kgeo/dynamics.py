@@ -31,7 +31,7 @@ refinement studies can read off convergence orders.
 import numpy as np
 
 from .torus import (gradient_z, hermitian_field, hessian_parts,
-                    holomorphic_hessian)
+                    holomorphic_hessian, integrate)
 from .state import (KahlerPotential, TangentVector, PositivityViolation,
                     make_potential, _potential_raw, _raise, check_anchor,
                     laplacian, ma_cross, green_solve)
@@ -63,12 +63,12 @@ class Curve:
     stored sample: the conformal factor u (us) and the Dirichlet speed
     (speeds). path_energy, path_length and geodesic_residual read those
     instead of rebuilding the potentials; on a hand-built curve (us and
-    speeds None) they are computed from the fields. potential(i) rebuilds
-    the KahlerPotential of sample i on demand (memoized, bounded cache),
-    keeping the stored field bit-exact (no dealiasing): integrated
-    trajectories live in the full grid space, and residual studies must
-    difference exactly the states the integrator produced. meta carries
-    integrator diagnostics (per-step speeds, re-gauge drift).
+    speeds None) they are computed from the fields. potential(i) builds
+    the KahlerPotential of sample i on every call (no cache), keeping the
+    stored field bit-exact (no dealiasing): integrated trajectories live in
+    the full grid space, and residual studies must difference exactly the
+    states the integrator produced. meta carries integrator diagnostics
+    (per-step speeds, re-gauge drift).
     """
 
     def __init__(self, spec, times, phis, psis, meta=None, us=None, speeds=None):
@@ -93,7 +93,6 @@ class Curve:
         self.us = None if us is None else [np.asarray(u, dtype=float) for u in us]
         self.speeds = None if speeds is None else np.asarray(speeds, dtype=float)
         self.meta = dict(meta or {})
-        self._memo = {}
 
     def __len__(self):
         return self.times.size
@@ -103,16 +102,11 @@ class Curve:
         return float(self.times[1] - self.times[0]) if len(self) > 1 else 0.0
 
     def potential(self, i):
-        """KahlerPotential at sample i (memoized, bounded cache)."""
-        i = int(i)
-        if i not in self._memo:
-            if len(self._memo) >= 8:
-                self._memo.pop(next(iter(self._memo)))
-            self._memo[i] = _potential_raw(self.spec, self.phis[i])
-        return self._memo[i]
+        """KahlerPotential at sample i, built on each call."""
+        return _potential_raw(self.spec, self.phis[int(i)])
 
     def velocity(self, i):
-        """Velocity TangentVector at sample i."""
+        """Velocity TangentVector at sample i, anchored at a new potential(i)."""
         pot = self.potential(i)
         psi = self.psis[int(i)]
         return TangentVector(pot, psi - pot.eu_mean(psi))
@@ -141,7 +135,7 @@ def _speeds(kind, curve):
     out = np.empty(len(curve))
     for i in range(len(curve)):
         tv = curve.velocity(i)
-        out[i] = inner(kind, curve.potential(i), tv, tv)
+        out[i] = inner(kind, tv.base, tv, tv)
     return out
 
 
@@ -262,7 +256,7 @@ def integrate_geodesic(pot0, tv0, T, dt, store_every=1):
             psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             warm = k4
 
-            drift_phi[step] = abs(float(np.sum(phi)) / spec.nodes)
+            drift_phi[step] = abs(integrate(spec, phi))
             pot = build(phi, t + dt)
             phi = pot.phi
             mu = pot.eu_mean(psi)
@@ -284,6 +278,13 @@ def integrate_geodesic(pot0, tv0, T, dt, store_every=1):
     }
     return Curve(spec, [s * dt for s in stored], phis, psis, meta=meta, us=us,
                  speeds=speeds[stored])
+
+
+def _conformal_term(us, i, dt):
+    # F = 4 e^{-u/2} (e^{u/2})_tt at sample i, central in time
+    half = np.exp(0.5 * us[i])
+    return 4.0 / half * (np.exp(0.5 * us[i + 1]) - 2.0 * half
+                         + np.exp(0.5 * us[i - 1])) / dt ** 2
 
 
 def _geodesic_residual_dirichlet(curve):
@@ -310,7 +311,7 @@ def _geodesic_residual_dirichlet(curve):
 
     def pot_at(j):
         if j not in pots:
-            pots[j] = _potential_raw(curve.spec, curve.phis[j])
+            pots[j] = curve.potential(j)
             if us[j] is None:
                 us[j] = pots[j].u
         return pots[j]
@@ -330,9 +331,7 @@ def _geodesic_residual_dirichlet(curve):
     for i in range(2, M - 2):
         w[i + 1] = w_at(i + 1)
         pot = pot_at(i)
-        half = np.exp(0.5 * us[i])
-        F = 4.0 / half * (np.exp(0.5 * us[i + 1]) - 2.0 * half
-                          + np.exp(0.5 * us[i - 1])) / dt ** 2
+        F = _conformal_term(us, i, dt)
         dtw = (w[i + 1] - w.pop(i - 1)) / (2.0 * dt)
         utt = (us[i + 1] - 2.0 * us[i] + us[i - 1]) / dt ** 2
         r = F + laplacian(pot, dtw) - (utt - pot.eu_mean(utt))
@@ -344,7 +343,7 @@ def _geodesic_residual_dirichlet(curve):
 
 
 def _geodesic_residual_calabi(curve):
-    # 4 e^{-u/2} (e^{u/2})_tt + 1, sup norm per interior time
+    # F + 1 (great circles of Phi = 2 e^{u/2}), sup norm per interior time
     M = len(curve)
     if M < 3:
         raise ValueError("need at least three samples for the residual")
@@ -352,10 +351,7 @@ def _geodesic_residual_calabi(curve):
     us = curve.us or [curve.potential(i).u for i in range(M)]
     out = np.empty(M - 2)
     for i in range(1, M - 1):
-        half = np.exp(0.5 * us[i])
-        F = 4.0 / half * (np.exp(0.5 * us[i + 1]) - 2.0 * half
-                          + np.exp(0.5 * us[i - 1])) / dt ** 2
-        out[i - 1] = float(np.max(np.abs(F + 1.0)))
+        out[i - 1] = float(np.max(np.abs(_conformal_term(us, i, dt) + 1.0)))
     return out
 
 
@@ -407,7 +403,7 @@ def kenergy(pot):
     return 2.0 * pot.eu_mean(pot.u)
 
 
-def kenergy_quadrature(phi_or_pot, steps=12):
+def kenergy_quadrature(pot, steps=12):
     """Energy functional by Gauss-Legendre quadrature along t -> t*phi.
 
     The integrand at t is (d phi, d f)_g e^u integrated over the torus at
@@ -419,10 +415,9 @@ def kenergy_quadrature(phi_or_pot, steps=12):
     the aliasing of the discrete path integral, so their gap is a
     resolution diagnostic.
     """
-    if isinstance(phi_or_pot, KahlerPotential):
-        spec, phi = phi_or_pot.spec, phi_or_pot.phi
-    else:
+    if not isinstance(pot, KahlerPotential):
         raise TypeError("kenergy_quadrature expects a KahlerPotential")
+    spec, phi = pot.spec, pot.phi
     nodes, weights = np.polynomial.legendre.leggauss(int(steps))
     # map [-1, 1] -> [0, 1]
     nodes = 0.5 * (nodes + 1.0)

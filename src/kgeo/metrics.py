@@ -151,18 +151,15 @@ def covariant_derivative_at(pot, phi_t, psi, psi_t):
     return TangentVector(pot, out - pot.eu_mean(out))
 
 
-def covariant_derivative(pots, psis, i, dt, velocities=None):
+def covariant_derivative(pots, psis, i, dt):
     """Covariant derivative along a sampled curve at interior index i.
 
     pots: KahlerPotential samples at uniform spacing dt; psis: section
-    samples (plain fields). phi_t and psi_t are central differences unless
-    analytic velocities (phi_t, psi_t) are supplied.
+    samples (plain fields). phi_t and psi_t are central differences; with
+    analytic velocities call covariant_derivative_at.
     """
-    if velocities is not None:
-        phi_t, psi_t = velocities
-    else:
-        if not 1 <= i <= len(pots) - 2:
-            raise IndexError("central differences need interior index")
-        phi_t = (pots[i + 1].phi - pots[i - 1].phi) / (2.0 * dt)
-        psi_t = (psis[i + 1] - psis[i - 1]) / (2.0 * dt)
+    if not 1 <= i <= len(pots) - 2:
+        raise IndexError("central differences need interior index")
+    phi_t = (pots[i + 1].phi - pots[i - 1].phi) / (2.0 * dt)
+    psi_t = (psis[i + 1] - psis[i - 1]) / (2.0 * dt)
     return covariant_derivative_at(pots[i], phi_t, psis[i], psi_t)

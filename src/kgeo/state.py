@@ -18,8 +18,8 @@ are gauge and every operator here returns a fixed gauge representative.
 
 import numpy as np
 
-from .torus import (dealias, gradient_z, hermitian_field, hessian_parts, rfft,
-                    irfft)
+from .torus import (dealias, gradient_z, hermitian_field, hessian_parts,
+                    integrate, rfft, irfft)
 
 __all__ = [
     "EPS_POS",
@@ -121,7 +121,7 @@ class KahlerPotential:
 
     def eu_mean(self, f):
         """Mean of f against the potential's volume form (Vol = 1)."""
-        return float(np.sum(f * self.e_u) / self.spec.nodes)
+        return integrate(self.spec, f * self.e_u)
 
     def __repr__(self):
         return "KahlerPotential(%r, margin=%.3g)" % (self.spec, self.margin)
@@ -157,7 +157,7 @@ def _potential_raw(spec, phi):
     differencing and conservation checks downstream.
     """
     phi = np.asarray(phi, dtype=float)
-    phi = phi - float(np.sum(phi) / spec.nodes)
+    phi = phi - integrate(spec, phi)
     g = hessian_parts(spec, phi)
     for j in range(spec.n):
         g[j] += 0.5

@@ -356,17 +356,12 @@ def random_field(spec, seed, decay=4.0, kmax=None):
     return out
 
 
-def integrate(spec, f, density=None):
-    """Node-mean quadrature (1/N^{2n}) sum f*density; exact for trig polynomials.
+def integrate(spec, f):
+    """Lebesgue node-mean quadrature (1/N^{2n}) sum f; exact for trig polynomials.
 
-    density None means the flat volume form (Lebesgue); otherwise it must be
-    positive pointwise (it is e^u for some potential).
+    The mean against a potential's volume form is KahlerPotential.eu_mean.
     """
-    if density is None:
-        return float(np.sum(f) / spec.nodes)
-    if not np.all(np.asarray(density) > 0.0):
-        raise ValueError("density must be positive pointwise")
-    return float(np.sum(f * density) / spec.nodes)
+    return float(np.sum(f) / spec.nodes)
 
 
 def gradient_z(spec, f):

@@ -93,6 +93,9 @@ def test_config_file_and_overrides(tmp_path):
     {"T": 1e300, "dt": 1e299, "flow_dt": 1e-300},  # so does T/flow_dt
     {"T": 1.0, "dt": 1e-7},  # 10**7 steps
     {"T": 1.0, "dt": 0.5, "flow_dt": 1e-7},
+    {"decay": 1.0},  # random_field needs decay > 1
+    {"kinds": [["Dirichlet"]]},  # not a name: unhashable
+    {"nu_steps": 10 ** 200},
 ])
 def test_config_rejections(tmp_path, bad):
     path = _write_cfg(tmp_path, **bad)
@@ -139,6 +142,21 @@ def test_config_memory_budget(tmp_path, monkeypatch, capsys):
     with pytest.raises(ConfigError):
         load_config(path, {"grid": 128})
     assert load_config(path)["grid"] == 16
+
+
+def test_config_memory_counts_quadrature_nodes(tmp_path, monkeypatch):
+    # leggauss(40000) would allocate an 11.9 GiB companion matrix after the
+    # whole flow has run; only flow (and None, all commands) counts it
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(kgeo.cli, "build_spec", no_work)
+    monkeypatch.setattr(kgeo.cli, "_physical_memory", lambda: 8 * 2 ** 30)
+    path = _write_cfg(tmp_path, nu_steps=40000)
+    assert main(["flow", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    with pytest.raises(ConfigError, match="40000 quadrature nodes"):
+        load_config(path)
+    assert load_config(path, command="check")["nu_steps"] == 40000
 
 
 def test_config_store_every_divides_only_geodesic_steps(tmp_path):

@@ -18,6 +18,7 @@ Anchors and expectations:
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ def test_curve_accessors(short_geodesic):
     cur = short_geodesic
     assert cur.dt == pytest.approx(5e-3)
     pot = cur.potential(0)
-    assert pot is cur.potential(0)  # memoized
+    assert np.array_equal(pot.u, cur.potential(0).u)  # rebuilt, same bits
     tv = cur.velocity(3)
     assert abs(pot.spec.n) == 2
     assert abs(cur.potential(3).eu_mean(tv.psi)) <= 1e-14
@@ -121,6 +122,27 @@ def test_path_energy_length_constant_speed(pot2):
     ln = path_length(MetricKind.DIRICHLET, cur)
     assert e > 0.0
     assert T * e == pytest.approx(ln ** 2, rel=1e-12)  # equality: const speed
+
+
+def test_path_functionals_hold_no_potentials(pot2):
+    # a hand-built curve keeps no potential: path_energy builds one per
+    # sample, and each is freed before the next is built
+    spec = pot2.spec
+    psi = project_tangent(pot2, 0.02 * random_field(spec, seed=66)).psi
+    times = 0.01 * np.arange(12)
+    cur = Curve(spec, times, [pot2.phi + t * psi for t in times], [psi] * 12)
+    pot_bytes = sum(a.nbytes for a in [pot2.phi, pot2.u, pot2.e_u]
+                    + pot2.g_parts + pot2.ginv_parts)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        energy = path_energy(MetricKind.MABUCHI, cur)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert energy > 0.0
+    assert held - before <= 2 ** 20
+    assert peak - before <= 4 * pot_bytes
 
 
 def test_path_energy_zero_curve(pot2):

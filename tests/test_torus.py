@@ -183,17 +183,6 @@ def test_integrate_trig_exact(spec1):
     assert integrate(spec1, np.cos(2 * PI * 5 * x) ** 2) == pytest.approx(0.5, abs=1e-15)
     assert integrate(spec1, np.cos(2 * PI * x) * np.cos(2 * PI * y)) == pytest.approx(
         0.0, abs=1e-15)
-    # unit density recovers the plain mean
-    assert integrate(spec1, x, density=np.ones(spec1.shape)) == pytest.approx(
-        integrate(spec1, x), abs=1e-15)
-
-
-def test_integrate_rejects_nonpositive_density(spec1):
-    nan_node = np.ones(spec1.shape)
-    nan_node[2, 3] = np.nan
-    for density in (np.zeros(spec1.shape), nan_node, -1.0, 0.0, np.nan):
-        with pytest.raises(ValueError):
-            integrate(spec1, np.ones(spec1.shape), density=density)
 
 
 # -------------------------------------------------------------- gradients --
