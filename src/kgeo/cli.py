@@ -56,7 +56,7 @@ MAX_STEPS = 10 ** 6
 
 # Estimated peak memory per grid node: 1 KiB for the potentials and the
 # solver and kernel work fields (at n=2 N=32, 2^20 nodes, `curvature` with
-# planes 1 peaked at 348 MB and `geodesic` with T 0.01 at 552 MB), plus phi,
+# planes 1 peaked at 308 MB and `geodesic` with T 0.01 at 483 MB), plus phi,
 # psi and u of every stored geodesic sample.
 BYTES_PER_NODE = 1024
 BYTES_PER_NODE_SAMPLE = 24

@@ -30,8 +30,7 @@ refinement studies can read off convergence orders.
 
 import numpy as np
 
-from .torus import (gradient_z, hermitian_field, hessian_parts,
-                    holomorphic_hessian, integrate)
+from .torus import gradient_z, hessian_parts, holomorphic_hessian, integrate
 from .state import (KahlerPotential, TangentVector, PositivityViolation,
                     make_potential, _potential_raw, _raise, check_anchor,
                     laplacian, ma_cross, green_solve)
@@ -449,14 +448,17 @@ def kenergy_second_derivative(pot, tv):
     Q = [_raise(pot, [m[k][i] for k in range(n)]) for i in range(n)]
     d2 = sum((Q[i][k] * np.conj(P[..., i, k])).real
              for i in range(n) for k in range(n))
-    # T_ij conj(v_i) v_j, T = Hess f + S g, raised gradient v = g^-1 d psi
+    # T_ij conj(v_i) v_j on the parts of T = Hess f + S g (the layout of
+    # hessian_parts), raised gradient v = g^-1 d psi
     f = kenergy_gradient(pot).psi
     s = scalar_curvature(pot)
-    T = hermitian_field([hp + s * gp for hp, gp in
-                         zip(hessian_parts(spec, f), pot.g_parts)])
+    t = [hp + s * gp for hp, gp in zip(hessian_parts(spec, f), pot.g_parts)]
     v = _raise(pot, gradient_z(spec, psi))
-    quad = sum((T[..., i, j] * np.conj(v[i]) * v[j]).real
-               for i in range(n) for j in range(n))
+    quad = t[0] * (v[0].real ** 2 + v[0].imag ** 2)
+    if n == 2:
+        w = np.conj(v[0]) * v[1]
+        quad += t[1] * (v[1].real ** 2 + v[1].imag ** 2)
+        quad += 2.0 * (t[2] * w.real - t[3] * w.imag)
     return pot.eu_mean(2.0 * d2 + quad)
 
 

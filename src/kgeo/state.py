@@ -6,11 +6,12 @@ The volume conformal factor is u = log(det g / det g_flat); the node-mean of
 e^u is exactly 1 for dealiased phi (the determinant is a trig polynomial below
 the grid bandwidth, so the quadrature is exact).
 
-The metric and its inverse are stored as real component fields (structure of
-arrays), not as complex (..., n, n) tensors: every operator here contracts
-them with the parts of hessian_parts in closed 2x2 form. No other module
-reads a component field: they use the functions here or the layout-neutral
-g_parts, and index raising (g^-1 on n complex fields) is _raise alone.
+The metric is stored once, as real component fields (structure of arrays)
+with 1/det g, and every operator here contracts it by one closed 2x2 rule:
+the mixed determinant M(A, B) = a11 b22 + a22 b11 - 2 Re(a12 conj b12) over
+det g (the metric Laplacian is M(g, Hf) / det g). No other module reads a
+component field: they use the functions here or the layout-neutral g_parts,
+and index raising (the adjugate of g over det g) is _raise alone.
 
 Tangent vectors are real fields with zero mean against e^u; additive constants
 are gauge and every operator here returns a fixed gauge representative.
@@ -76,23 +77,22 @@ class KahlerPotential:
 
     Immutable after construction. Fields: spec, phi (Lebesgue-mean-zero,
     dealiased); the metric g as real fields g11, g22, g12_re, g12_im (the
-    diagonal entries and the real and imaginary parts of g_{1 2bar}) and
-    its inverse likewise as ginv11, ginv22, ginv12_re, ginv12_im, the
-    n = 2 fields being None for n = 1; u and e_u (volume conformal factor
-    and its exponential); margin (min eigenvalue of g over the grid). At
-    n = 2 that is eleven float64 fields, 88 bytes per node. g_parts and
-    ginv_parts list the metric fields in the layout of hessian_parts; g and
-    g_inv assemble the complex (..., n, n) tensors on access, for callers
-    that want them (no kernel of the package does).
+    diagonal entries and the real and imaginary parts of g_{1 2bar}), the
+    n = 2 fields being None for n = 1; rdet = 1 / det g; u and e_u (volume
+    conformal factor and its exponential); margin (min eigenvalue of g over
+    the grid). At n = 2 that is eight float64 fields, 64 bytes per node (40
+    at n = 1); no inverse metric is stored. g_parts lists the metric fields
+    in the layout of hessian_parts; g and g_inv assemble the complex
+    (..., n, n) tensors on access, for callers that want them (no kernel of
+    the package does).
     """
 
-    def __init__(self, spec, phi, g_parts, ginv_parts, u, e_u, margin):
+    def __init__(self, spec, phi, g_parts, rdet, u, e_u, margin):
         self.spec = spec
         self.phi = phi
         self.g11, self.g22, self.g12_re, self.g12_im = (
             list(g_parts) + [None] * 3)[:4]
-        self.ginv11, self.ginv22, self.ginv12_re, self.ginv12_im = (
-            list(ginv_parts) + [None] * 3)[:4]
+        self.rdet = rdet
         self.u = u
         self.e_u = e_u
         self.margin = margin
@@ -104,20 +104,16 @@ class KahlerPotential:
         return [self.g11, self.g22, self.g12_re, self.g12_im]
 
     @property
-    def ginv_parts(self):
-        if self.spec.n == 1:
-            return [self.ginv11]
-        return [self.ginv11, self.ginv22, self.ginv12_re, self.ginv12_im]
-
-    @property
     def g(self):
         """The metric, a complex (..., n, n) Hermitian field built on access."""
         return hermitian_field(self.g_parts)
 
     @property
     def g_inv(self):
-        """The inverse metric, a complex (..., n, n) field built on access."""
-        return hermitian_field(self.ginv_parts)
+        """The inverse metric (adjugate over det g), built on access."""
+        adj = [1.0] if self.spec.n == 1 else [
+            self.g22, self.g11, -self.g12_re, -self.g12_im]
+        return hermitian_field([p * self.rdet for p in adj])
 
     def eu_mean(self, f):
         """Mean of f against the potential's volume form (Vol = 1)."""
@@ -164,11 +160,9 @@ def _potential_raw(spec, phi):
     if spec.n == 1:
         det = lo = g[0]
     else:
-        # g = [[a, b], [conj b, c]] has eigenvalues (a + c)/2 -+ r. |b|^2
-        # goes through the complex modulus, which rounds differently from
-        # re*re + im*im in the last bit; the recorded CLI outputs rest on it.
+        # g = [[a, b], [conj b, c]] has eigenvalues (a + c)/2 -+ r
         a, c, re, im = g
-        b2 = np.abs(re + 1j * im) ** 2
+        b2 = re * re + im * im
         r = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b2, 0.0))
         lo = 0.5 * (a + c) - r
         det = a * c - b2
@@ -177,12 +171,9 @@ def _potential_raw(spec, phi):
         raise PositivityViolation(
             "metric not positive definite (margin %.3e <= %.0e)" % (margin, EPS_POS),
             margin=margin)
-    rdet = 1.0 / det
-    # [[a, b], [conj b, c]]^-1 = [[c, -b], [-conj b, a]] / det
-    g_inv = [rdet] if spec.n == 1 else [c * rdet, a * rdet, -re * rdet, -im * rdet]
     e_u = det / spec.det_flat
     u = np.log(e_u)
-    return KahlerPotential(spec, phi, g, g_inv, u, e_u, margin)
+    return KahlerPotential(spec, phi, g, 1.0 / det, u, e_u, margin)
 
 
 def check_anchor(pot, tv):
@@ -201,12 +192,13 @@ def project_tangent(pot, f):
 
 
 def _raise(pot, x):
-    # g^-1 x for a list x of n complex fields, g^-1 = [[a, b], [conj b, c]]
-    a = pot.ginv11
+    # g^-1 x for a list x of n complex fields: g = [[a, b], [conj b, c]] has
+    # the adjugate [[c, -b], [-conj b, a]]
     if pot.spec.n == 1:
-        return [a * x[0]]
-    b = pot.ginv12_re + 1j * pot.ginv12_im
-    return [a * x[0] + b * x[1], np.conj(b) * x[0] + pot.ginv22 * x[1]]
+        return [x[0] * pot.rdet]
+    b = pot.g12_re + 1j * pot.g12_im
+    return [(pot.g22 * x[0] - b * x[1]) * pot.rdet,
+            (pot.g11 * x[1] - np.conj(b) * x[0]) * pot.rdet]
 
 
 def _grad_contraction(pot, f, h):
@@ -216,41 +208,36 @@ def _grad_contraction(pot, f, h):
 
 
 def _contract_gradients(pot, gf, gh):
-    # _grad_contraction of the gradient_z lists of f and h. Written out, not
-    # through _raise: the recorded CLI outputs rest on this term order.
-    hc = np.conj(gh[0])  # one conjugate at a time: gh may be a kept image
-    acc = pot.ginv11 * gf[0] * hc
+    # _grad_contraction of the gradient_z lists of f and h: the raised
+    # gradient of f against the conjugated one of h
+    raised = _raise(pot, gf)
+    acc = raised[0] * np.conj(gh[0])
     if pot.spec.n == 2:
-        b = pot.ginv12_re + 1j * pot.ginv12_im
-        acc += b * gf[1] * hc
-        hc = np.conj(gh[1])
-        acc += np.conj(b) * gf[0] * hc
-        acc += pot.ginv22 * gf[1] * hc
+        acc += raised[1] * np.conj(gh[1])
     return acc
 
 
-def _lap_parts(pot, parts):
-    # tr(g^-1 H) = a f11 + c f22 + 2 (p Re f12 + q Im f12) with
-    # g^-1 = [[a, p + iq], [p - iq, c]]; parts as hessian_parts returns them
-    out = pot.ginv11 * parts[0]
-    if pot.spec.n == 2:
-        _, f22, re12, im12 = parts
-        out += pot.ginv22 * f22
-        out += 2.0 * (pot.ginv12_re * re12 + pot.ginv12_im * im12)
+def _mixed_det(pot, pf, ph):
+    # mixed determinant of two Hermitian 2x2 fields in the layout of
+    # hessian_parts over det g, accumulated in place (n = 2 only):
+    # (f11 h22 + f22 h11 - 2 Re(f12 conj h12)) / det g
+    f11, f22, fre, fim = pf
+    h11, h22, hre, him = ph
+    out = f11 * h22
+    out += f22 * h11
+    t = fre * hre
+    t += fim * him
+    t *= 2.0
+    out -= t
+    out *= pot.rdet
     return out
 
 
-def _mixed(pf, ph):
-    # mixed determinant of two Hermitian 2x2 fields in the layout of
-    # hessian_parts: f11 h22 + f22 h11 - 2 Re(f12 conj h12)
-    f11, f22, fre, fim = pf
-    h11, h22, hre, him = ph
-    return f11 * h22 + f22 * h11 - 2.0 * (fre * hre + fim * him)
-
-
-def _mixed_det(pot, pf, ph):
-    # mixed determinant of Hf and Hh over det g, n = 2 only
-    return _mixed(pf, ph) / (pot.e_u * pot.spec.det_flat)
+def _lap_parts(pot, parts):
+    # tr(g^-1 H) = M(g, H) / det g; parts as hessian_parts returns them
+    if pot.spec.n == 1:
+        return parts[0] * pot.rdet
+    return _mixed_det(pot, pot.g_parts, parts)
 
 
 def _sup_pencil_eig(pot, parts):
@@ -259,14 +246,11 @@ def _sup_pencil_eig(pot, parts):
     the g-raised tensor."""
     if pot.spec.n == 1:
         return float(np.max(np.abs(parts[0] / pot.g11)))
-    # the eigenvalues (mixed -+ root) / (2 det g) solve
-    # det g l^2 - mixed(C, g) l + det C = 0, with det C = mixed(C, C) / 2;
-    # det g > 0, so the larger modulus is (|mixed| + root) / (2 det g)
-    det_g = pot.e_u * pot.spec.det_flat
-    mixed = _mixed(parts, pot.g_parts)
-    disc = mixed ** 2 - 4.0 * det_g * (0.5 * _mixed(parts, parts))
-    root = np.sqrt(np.maximum(disc, 0.0))
-    return float(np.max((np.abs(mixed) + root) / (2.0 * det_g)))
+    # the eigenvalues (m -+ root) / 2 solve l^2 - m l + det C / det g = 0,
+    # with m = M(C, g) / det g and det C = M(C, C) / 2
+    m = _mixed_det(pot, parts, pot.g_parts)
+    root = np.sqrt(np.maximum(m * m - 2.0 * _mixed_det(pot, parts, parts), 0.0))
+    return 0.5 * float(np.max(np.abs(m) + root))
 
 
 def laplacian(pot, f):
@@ -333,11 +317,16 @@ def c_divergence(pot, f):
     """
     spec = pot.spec
     n = spec.n
-    C = c_tensor(pot, f)
+    c = _c_parts(pot, f)
+    if n == 1:
+        columns = [c]
+    else:
+        c12 = c[2] + 1j * c[3]
+        columns = [[c[0], np.conj(c12)], [c12, c[1]]]
     # M = g^-1 C column by column (m[k] is column k); R = M g^-1 is
     # Hermitian, so its column i is the conjugate of its row i, which is
     # g^-1 applied to the conjugated row i of M
-    m = [_raise(pot, [C[..., i, k] for i in range(n)]) for k in range(n)]
+    m = [_raise(pot, column) for column in columns]
     worst = 0.0
     for i in range(n):
         column = _raise(pot, [np.conj(m[k][i]) for k in range(n)])

@@ -97,11 +97,13 @@ def test_metric_margin_matches_eigensolver(curved2):
     assert np.max(np.abs(inv - curved2.g_inv)) < 1e-12
 
 
-def test_potential_stores_components_only(curved2):
-    # phi, four metric and four inverse-metric fields, u and e_u: 88 B/node
-    arrays = [v for v in vars(curved2).values() if isinstance(v, np.ndarray)]
-    assert all(a.shape == curved2.spec.shape for a in arrays)
-    assert sum(a.nbytes for a in arrays) <= 88 * curved2.spec.nodes
+def test_potential_stores_components_only(curved1, curved2):
+    # phi, the metric fields, 1/det g, u and e_u: 64 B/node at n = 2 (four
+    # metric fields), 40 at n = 1 (one); no inverse metric
+    for pot, bound in ((curved1, 40), (curved2, 64)):
+        arrays = [v for v in vars(pot).values() if isinstance(v, np.ndarray)]
+        assert all(a.shape == pot.spec.shape for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= bound * pot.spec.nodes
 
 
 def _tensor_assembly(pot):
