@@ -262,8 +262,10 @@ def _plane_checks(pot, tv1, tv2):
     lap = state_mod.laplacian
 
     def self_adjoint():
-        # of the metric Laplacian in the e^u pairing: to roundoff on these
-        # band-limited tangents, to aliasing order on green_solve's iterates
+        # of the metric Laplacian in the e^u pairing, probed only on these
+        # band-limited tangents, where it holds to roundoff; green_solve's
+        # PCG assumes it on full-band iterates, where the discrete operator
+        # is symmetric only to aliasing order, which this check does not see
         lhs = pot.eu_mean(p * lap(pot, q))
         rhs = pot.eu_mean(q * lap(pot, p))
         return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)

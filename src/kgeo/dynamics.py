@@ -214,6 +214,12 @@ def integrate_geodesic(pot0, tv0, T, dt, store_every=1):
     Dirichlet speed are recorded per step in Curve.meta, and every stored
     sample keeps its conformal factor and speed (Curve.us, Curve.speeds).
     store_every thins the stored samples (the last sample is always kept).
+
+    Each stage's Green solve starts from a guess extrapolated from stages
+    already solved: k1 from the previous step's k4, k2 from
+    1.5 k1 - 0.5 k1_prev (k1 of the previous step; k1 itself at the first
+    step), k3 from k2 and k4 from 2 k3 - k1. A guess sets only where PCG
+    starts, so the result does not depend on it beyond the solver tolerance.
     """
     check_anchor(pot0, tv0)
     spec = pot0.spec
@@ -239,21 +245,22 @@ def integrate_geodesic(pot0, tv0, T, dt, store_every=1):
     drift_phi = np.zeros(nsteps + 1)
     drift_psi = np.zeros(nsteps + 1)
     keep = set(stored)
-    warm = None
+    warm = k1_prev = None
 
     for step in range(nsteps + 1):
         if step > 0:
             t = (step - 1) * dt
             k1 = accel(pot, psi, warm)
             k2 = accel(build(phi + 0.5 * dt * psi, t + 0.5 * dt),
-                       psi + 0.5 * dt * k1, k1)
+                       psi + 0.5 * dt * k1,
+                       k1 if k1_prev is None else 1.5 * k1 - 0.5 * k1_prev)
             k3 = accel(build(phi + 0.5 * dt * (psi + 0.5 * dt * k1), t + 0.5 * dt),
                        psi + 0.5 * dt * k2, k2)
             k4 = accel(build(phi + dt * (psi + 0.5 * dt * k2), t + dt),
-                       psi + dt * k3, k3)
+                       psi + dt * k3, 2.0 * k3 - k1)
             phi = phi + dt * (psi + (dt / 6.0) * (k1 + k2 + k3))
             psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            warm = k4
+            warm, k1_prev = k4, k1
 
             drift_phi[step] = abs(integrate(spec, phi))
             pot = build(phi, t + dt)
@@ -299,7 +306,11 @@ def _geodesic_residual_dirichlet(curve):
     Reads the recorded u of an integrated curve. The potentials that the
     Green solves and Laplacians need (samples 1..len-2, and on a hand-built
     curve the end samples for their u) are each built once, in order, and
-    dropped as soon as the sweep has passed them.
+    dropped as soon as the sweep has passed them. Each w-solve starts from
+    the stored velocity psis[j]: u_t = lap phi_t exactly, so w equals it up
+    to the O(dt^2) of the central difference. The start moves the result
+    only within the solver tolerance, so the residual stays a check on u
+    alone.
     """
     M = len(curve)
     if M < 5:
@@ -323,7 +334,7 @@ def _geodesic_residual_dirichlet(curve):
         pot = pot_at(j)
         ut = (u_at(j + 1) - u_at(j - 1)) / (2.0 * dt)
         ut = ut - pot.eu_mean(ut)
-        return green_solve(pot, ut)
+        return green_solve(pot, ut, x0=curve.psis[j])
 
     w = {1: w_at(1), 2: w_at(2)}
     out = np.empty(M - 4)

@@ -217,27 +217,31 @@ def _contract_gradients(pot, gf, gh):
     return acc
 
 
-def _mixed_det(pot, pf, ph):
+def _mixed_det(pot, pf, ph, work=None):
     # mixed determinant of two Hermitian 2x2 fields in the layout of
     # hessian_parts over det g, accumulated in place (n = 2 only):
-    # (f11 h22 + f22 h11 - 2 Re(f12 conj h12)) / det g
+    # (f11 h22 + f22 h11 - 2 Re(f12 conj h12)) / det g. work is three grid
+    # fields, for the result and its two temporaries (new ones if None)
     f11, f22, fre, fim = pf
     h11, h22, hre, him = ph
-    out = f11 * h22
-    out += f22 * h11
-    t = fre * hre
-    t += fim * him
+    out, t, s = work or [np.empty(pot.spec.shape) for _ in range(3)]
+    np.multiply(f11, h22, out=out)
+    out += np.multiply(f22, h11, out=s)
+    np.multiply(fre, hre, out=t)
+    t += np.multiply(fim, him, out=s)
     t *= 2.0
     out -= t
     out *= pot.rdet
     return out
 
 
-def _lap_parts(pot, parts):
-    # tr(g^-1 H) = M(g, H) / det g; parts as hessian_parts returns them
+def _lap_parts(pot, parts, work=None):
+    # tr(g^-1 H) = M(g, H) / det g; parts as hessian_parts returns them,
+    # work as in _mixed_det (at n = 1 only its first field is written)
     if pot.spec.n == 1:
-        return parts[0] * pot.rdet
-    return _mixed_det(pot, pot.g_parts, parts)
+        out = None if work is None else work[0]
+        return np.multiply(parts[0], pot.rdet, out=out)
+    return _mixed_det(pot, pot.g_parts, parts, work)
 
 
 def _sup_pencil_eig(pot, parts):
@@ -303,7 +307,7 @@ def c_tensor(pot, f):
     """Contracted-Hessian tensor  C[f] = (lap f) g - Hess f  (lower indices).
 
     Hermitian at every node; identically zero in complex dimension one; its
-    weighted divergence vanishes (see c_divergence).
+    weighted divergence vanishes for any Hermitian g (see c_divergence).
     """
     return hermitian_field(_c_parts(pot, f))
 
@@ -311,9 +315,14 @@ def c_tensor(pot, f):
 def c_divergence(pot, f):
     """Sup norm of the weighted divergence of C[f] with raised indices.
 
-    Computes sum_j dzbar_j ( e^u (g^-1 C[f] g^-1)_{i j} ) for each i; the
-    Kahler condition makes this vanish identically, and for dealiased f the
-    discrete value is at roundoff level.
+    Computes sum_j dzbar_j ( e^u (g^-1 C[f] g^-1)_{i j} ) for each i; for
+    dealiased f the discrete value is at roundoff level. That does not test
+    the Kahler condition: at n = 2 the 2x2 identity tr(A) I - A = adj(A),
+    with A = g^-1 Hess f, gives e^u g^-1 C[f] g^-1 = adj(Hess f) / det g_flat
+    pointwise for any Hermitian g, and the divergence of the adjugate of a
+    Hessian vanishes because the spectral derivatives commute (at n = 1,
+    C[f] is zero). The value confirms that algebra and those commuting
+    derivatives, not that g comes from a potential.
     """
     spec = pot.spec
     n = spec.n
@@ -351,15 +360,18 @@ def laplacian_rate(pot, phi_t, psi, psi_t=None):
     return out
 
 
-def _flat_inverse(spec, wh):
+def _flat_inverse(spec, wh, out=None):
     # preconditioner on a half spectrum: inverse of minus lap0, zero DC
-    return spec.half_lap_inv * wh
+    return np.multiply(spec.half_lap_inv, wh, out=out)
 
 
-def _parseval(spec, ah, bh):
+def _parseval(spec, ah, bh, work=None):
     # grid sum of a * b from half spectra (halved-axis planes 0 and N/2 count
-    # once, the rest twice); np.sum, as a threaded BLAS dot changes bytes
-    prod = ah.real * bh.real + ah.imag * bh.imag
+    # once, the rest twice); np.sum, as a threaded BLAS dot changes bytes.
+    # work is two real half-spectrum fields (new ones if None)
+    prod, t = work or [np.empty(spec.half_shape) for _ in range(2)]
+    np.multiply(ah.real, bh.real, out=prod)
+    prod += np.multiply(ah.imag, bh.imag, out=t)
     prod[1:-1] *= 2.0
     return float(np.sum(prod)) / spec.nodes
 
@@ -376,10 +388,14 @@ def green_solve(pot, v, maxiter=None, x0=None):
     grid field. An iteration makes 4 irfft (1 at n = 1), the Hessian parts
     of p, and one rfft, of e^u Ap, which gives p.Ap as a Parseval sum and
     updates (e^u r)^. x is transformed back and e^u-mean projected once, at
-    the end. Terminates when the plain l2 residual satisfies ||lap w - v||
-    <= GREEN_TOL * ||v||; the iteration cap is 10 * N^(2n) (NoConvergence
-    beyond it). x0 seeds the iteration (warm starts across nearby solves);
-    the result does not depend on it beyond the tolerance.
+    the end. One workspace is allocated per solve and freed before that
+    last transform; the operator and the CG updates write into it in place
+    (the transforms' intermediate passes into the scratch of the spec), so
+    no iteration allocates a grid field. Terminates when the plain l2
+    residual satisfies ||lap w - v|| <= GREEN_TOL * ||v||; the iteration
+    cap is 10 * N^(2n) (NoConvergence beyond it). x0 seeds the iteration
+    (warm starts across nearby solves); the result does not depend on it
+    beyond the tolerance.
 
     Raises MeanNotZero when the e^u-mean of v exceeds GREEN_TOL_MEAN times
     the rms of v. Right-hand sides below GREEN_ATOL_FLOOR in sup norm return
@@ -399,10 +415,37 @@ def green_solve(pot, v, maxiter=None, x0=None):
     if maxiter is None:
         maxiter = 10 * spec.nodes
 
-    e_u = pot.e_u
+    x = irfft(spec, _pcg(pot, b, bnorm, maxiter, x0))
+    return x - pot.eu_mean(x)
 
-    def apply_op(wh):  # -lap w from the half spectrum of w
-        return -_lap_parts(pot, [irfft(spec, sym * wh) for sym in spec.half_hess])
+
+def _pcg(pot, b, bnorm, maxiter, x0):
+    # green_solve's iteration on -lap w = b; returns the half spectrum of w.
+    # Every work field is a view of one block, allocated once per solve and
+    # freed on return. One block, not one array per field: glibc's malloc
+    # maps it until one is freed, then (up to 32 MiB) raises its trim
+    # threshold to twice its size, so later solves take it from the heap
+    # instead of faulting its pages back in. tmp, a temporary of _mixed_det,
+    # also takes e^u Ap, alpha Ap and r*r; prod, the symbol-times-spectrum
+    # product, also serves the Parseval sums (pars, two real fields) and
+    # takes alpha p^ and alpha (e^u Ap)^; zh holds z^ and, once p is
+    # updated, (e^u Ap)^.
+    spec = pot.spec
+    e_u = pot.e_u
+    nparts = len(spec.half_hess)
+    nreal = nparts + (3 if spec.n == 2 else 2)
+    block = np.empty(nreal * spec.nodes // 2 + 3 * spec.half_size, dtype=complex)
+    reals = block[:-3 * spec.half_size].view(np.float64)
+    reals = reals.reshape((nreal,) + spec.shape)
+    parts, work = list(reals[:nparts]), list(reals[nparts:])
+    ap, tmp = work[:2]
+    prod, zh, ph = block[-3 * spec.half_size:].reshape((3,) + spec.half_shape)
+    pars = list(prod.view(np.float64).reshape((2,) + spec.half_shape))
+
+    def apply_op(wh):  # -lap w from the half spectrum of w, into ap
+        for sym, part in zip(spec.half_hess, parts):
+            irfft(spec, np.multiply(sym, wh, out=prod), out=part)
+        return np.negative(_lap_parts(pot, parts, work), out=ap)
 
     if x0 is None:
         xh = np.zeros(spec.half_shape, dtype=complex)
@@ -410,43 +453,41 @@ def green_solve(pot, v, maxiter=None, x0=None):
     else:
         xh = rfft(spec, np.asarray(x0, dtype=float))
         r = b - apply_op(xh)
-    sh = rfft(spec, e_u * r)
-    ph = None
+    sh = rfft(spec, np.multiply(e_u, r, out=tmp))
     rz_old = 0.0
     for it in range(maxiter):
-        rn = float(np.sqrt(np.sum(r * r)))
+        rn = float(np.sqrt(np.sum(np.multiply(r, r, out=tmp))))
         if rn <= GREEN_TOL * bnorm:
             # accept only against the true residual, not the recurrence
-            r = b - apply_op(xh)
-            rn = float(np.sqrt(np.sum(r * r)))
+            np.subtract(b, apply_op(xh), out=r)
+            rn = float(np.sqrt(np.sum(np.multiply(r, r, out=tmp))))
             if rn <= GREEN_TOL * bnorm:
-                break
-            sh = rfft(spec, e_u * r)
-        zh = _flat_inverse(spec, sh)
-        rz = _parseval(spec, sh, zh)
+                return xh
+            rfft(spec, np.multiply(e_u, r, out=tmp), out=sh)
+        _flat_inverse(spec, sh, out=zh)
+        rz = _parseval(spec, sh, zh, pars)
         if not rz > 0.0:
             # strictly positive for any SPD operator/preconditioner pair
             raise NoConvergence(
                 "preconditioner breakdown (r.z = %.3e)" % rz,
                 iterations=it, residual=rn / bnorm)
-        ph = zh if ph is None else zh + (rz / rz_old) * ph
+        if it == 0:
+            np.copyto(ph, zh)
+        else:
+            np.add(zh, np.multiply(rz / rz_old, ph, out=ph), out=ph)
         rz_old = rz
-        ap = apply_op(ph)
-        th = rfft(spec, e_u * ap)
-        denom = _parseval(spec, ph, th)
+        apply_op(ph)
+        th = rfft(spec, np.multiply(e_u, ap, out=tmp), out=zh)
+        denom = _parseval(spec, ph, th, pars)
         if not denom > 0.0:
             raise NoConvergence(
                 "conjugate-gradient breakdown (curvature %.3e)" % denom,
                 iterations=it, residual=rn / bnorm)
         alpha = rz / denom
-        xh += alpha * ph
-        r -= alpha * ap
-        sh -= alpha * th
-        del ap, th  # free them before the next iteration allocates
-    else:
-        rn = float(np.sqrt(np.sum(r * r)))
-        raise NoConvergence(
-            "no convergence in %d iterations (residual %.3e)" % (maxiter, rn / bnorm),
-            iterations=maxiter, residual=rn / bnorm)
-    x = irfft(spec, xh)
-    return x - pot.eu_mean(x)
+        xh += np.multiply(alpha, ph, out=prod)
+        r -= np.multiply(alpha, ap, out=tmp)
+        sh -= np.multiply(alpha, th, out=prod)
+    rn = float(np.sqrt(np.sum(r * r)))
+    raise NoConvergence(
+        "no convergence in %d iterations (residual %.3e)" % (maxiter, rn / bnorm),
+        iterations=maxiter, residual=rn / bnorm)

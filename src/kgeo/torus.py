@@ -96,6 +96,7 @@ class TorusSpec:
         # the halved last grid axis first: grid axis j < 2n-1 sits at
         # position j+1 there, and the last one at position 0
         self.half_shape = (self.N // 2 + 1,) + self.shape[:-1]
+        self.half_size = (self.N // 2 + 1) * self.nodes // self.N
         freq = []
         half = []
         for ax in range(self.dim_real):
@@ -109,6 +110,10 @@ class TorusSpec:
         self._freq = freq
         self._half_freq = half
         self._dft = _dft_tables(self.N)
+        # the two buffers the intermediate axis passes of rfft and irfft
+        # write into, in turn (every pass keeps one halved axis)
+        self._scratch = (np.empty(self.half_size, dtype=complex),
+                         np.empty(self.half_size, dtype=complex))
 
         # sigma_j = pi (m_j + i k_j): symbol of d/dz_j (axis j is x_j, axis n+j is y_j)
         self.sigma = [np.pi * (self._freq[self.n + j] + 1j * self._freq[j])
@@ -255,39 +260,44 @@ def _gemm_rows(rows, w):
     return _block_rows(rows, w.size * (4 if w.dtype.kind == "c" else 1))
 
 
-def _rows_times(a, w):
-    """The contiguous matrix a times w, as a stack of GEMMs over row blocks."""
+def _rows_times(a, w, out):
+    """The contiguous matrix a times w, as a stack of GEMMs over row blocks,
+    written into the contiguous array out."""
     rows = a.shape[0]
     block = _gemm_rows(rows, w)
-    return np.matmul(a.reshape(rows // block, block, -1), w)
+    return np.matmul(a.reshape(rows // block, block, -1), w,
+                     out=out.reshape(rows // block, block, w.shape[1]))
 
 
-def _lead_to_end(y, w):
+def _lead_to_end(y, w, out):
     """Transform the leading axis of y by w (y_j -> sum_j y_j w_jk) and move
-    it to the end: the rows are the other axes, flattened, and every GEMM
-    reads a block of them through a transposed view."""
+    it to the end, into the contiguous complex array out: the rows are the
+    other axes, flattened, and every GEMM reads a block of them through a
+    transposed view."""
     lead, rest = y.shape[0], y.shape[1:]
     rows = y.size // lead
     block = _gemm_rows(rows, w)
     stack = y.reshape(lead, rows // block, block).transpose(1, 2, 0)
-    return np.matmul(stack, w).reshape(rest + (lead,))
+    out = out.reshape(rest + (lead,))
+    np.matmul(stack, w, out=out.reshape(rows // block, block, lead))
+    return out
 
 
-def _end_to_front(z, w):
+def _end_to_front(z, w, out):
     """Transform the trailing axis of z by w (z_k -> sum_k w_jk z_k) and move
-    it to the front: the mirror image of _lead_to_end. Every GEMM writes a
-    block of columns of the output through a strided view, so nothing is
-    copied to move the axis."""
+    it to the front, into the contiguous complex array out: the mirror image
+    of _lead_to_end. Every GEMM writes a block of columns of the output
+    through a strided view, so nothing is copied to move the axis."""
     tail, rest = z.shape[-1], z.shape[:-1]
     rows = z.size // tail
     block = _gemm_rows(rows, w)
-    out = np.empty((tail,) + rest, dtype=complex)
+    out = out.reshape((tail,) + rest)
     np.matmul(w, z.reshape(rows // block, block, tail).transpose(0, 2, 1),
               out=out.reshape(tail, rows // block, block).transpose(1, 0, 2))
     return out
 
 
-def rfft(spec, f):
+def rfft(spec, f, out=None):
     """Half spectrum of a real field, with the halved (last) axis stored first.
 
     Equals np.moveaxis(np.fft.rfftn(f), -1, 0). The last grid axis goes
@@ -295,31 +305,45 @@ def rfft(spec, f):
     interleaved, is viewed as complex; every other axis then goes through
     one complex product that transforms the leading axis and moves it to
     the end. Each product is a stack of GEMMs over blocks of rows, each
-    within _GEMM_MACS multiply-adds.
+    within _GEMM_MACS multiply-adds. The result is written into out (a
+    contiguous complex array of spec.half_shape) when given, else into a
+    new array. The passes before the last write into the two scratch
+    buffers of spec, so two threads must not transform on one spec at once;
+    the result never shares memory with them.
     """
     r2c, c2c = spec._dft[:2]
     N = spec.N
-    y = _rows_times(f.reshape(-1, N), r2c).view(complex)
-    y = y.reshape(f.shape[:-1] + (N // 2 + 1,))
-    for _ in range(spec.dim_real - 1):
-        y = _lead_to_end(y, c2c)
-    return y
+    if out is None:
+        out = np.empty(spec.half_shape, dtype=complex)
+    scratch = spec._scratch
+    y = _rows_times(f.reshape(-1, N), r2c, scratch[0].view(np.float64))
+    y = y.view(complex).reshape(f.shape[:-1] + (N // 2 + 1,))
+    passes = spec.dim_real - 1
+    for i in range(1, passes + 1):
+        y = _lead_to_end(y, c2c, out if i == passes else scratch[i % 2])
+    return out
 
 
-def irfft(spec, fh):
+def irfft(spec, fh, out=None):
     """Real field of a Hermitian half spectrum in rfft's layout; its inverse.
 
     The mirror image of rfft: every full axis is transformed and moved to
     the front, the trailing one first, then the halved axis goes through
     one real matrix product. That product drops the imaginary parts of
     frequencies 0 and N/2 of the halved axis, as numpy.fft.irfftn does.
+    The result is written into out (a contiguous float64 array of
+    spec.shape) when given, else into a new array; the complex passes
+    write into the scratch buffers of spec, as in rfft, and fh is only read.
     """
     c2c_inv, c2r = spec._dft[2:]
+    if out is None:
+        out = np.empty(spec.shape)
     z = fh
-    for _ in range(spec.dim_real - 1):
-        z = _end_to_front(z, c2c_inv)
+    for i in range(spec.dim_real - 1):
+        z = _end_to_front(z, c2c_inv, spec._scratch[i % 2])
     parts = z.reshape(-1, z.shape[-1]).view(np.float64)
-    return _rows_times(parts, c2r).reshape(spec.shape)
+    _rows_times(parts, c2r, out)
+    return out
 
 
 def dealias(spec, f):

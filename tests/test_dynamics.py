@@ -27,6 +27,7 @@ import kgeo.cli
 import kgeo.curvature
 import kgeo.dynamics
 import kgeo.metrics
+import kgeo.state
 from kgeo.torus import build_spec, random_field
 from kgeo.state import (
     PositivityViolation,
@@ -298,6 +299,40 @@ def test_residual_recorded_matches_hand_built(short_geodesic):
     recorded = geodesic_residual(MetricKind.DIRICHLET, short_geodesic)
     rebuilt = geodesic_residual(MetricKind.DIRICHLET, _hand_built(short_geodesic))
     assert np.allclose(recorded, rebuilt, rtol=1e-6, atol=0.0)
+
+
+def test_residual_is_a_check_on_u_alone(short_geodesic):
+    # the w-solves start from the stored velocities, which w equals to
+    # O(dt^2); with them zeroed every solve starts cold, and the residual
+    # moves only at the solver tolerance, magnified by differencing w in time
+    cur = short_geodesic
+    cold = Curve(cur.spec, cur.times, cur.phis,
+                 [np.zeros(cur.spec.shape)] * len(cur), us=cur.us,
+                 speeds=cur.speeds)
+    warm = geodesic_residual(MetricKind.DIRICHLET, cur)
+    rel = np.abs(geodesic_residual(MetricKind.DIRICHLET, cold) - warm) / warm
+    assert np.max(rel) <= 1e-3
+
+
+def test_geodesic_warm_starts_stay_warm(monkeypatch):
+    # the kgeo geodesic --n 2 defaults: RK4 stage guesses extrapolated from
+    # the stages already solved, and the residual's w-solves started from
+    # the stored velocities, keep the shoot and its residual within 300 PCG
+    # iterations (392 with each stage started from the one before and cold
+    # residual solves)
+    iterations = []
+    true_fn = kgeo.state._flat_inverse
+
+    def counting(*args, **kwargs):  # one call per PCG iteration
+        iterations.append(1)
+        return true_fn(*args, **kwargs)
+    monkeypatch.setattr(kgeo.state, "_flat_inverse", counting)
+    spec = build_spec(2, 16)
+    pot = make_potential(spec, 0.004 * random_field(spec, 1))
+    tv = project_tangent(pot, 0.02 * random_field(spec, 1 + 10 ** 6))
+    curve = integrate_geodesic(pot, tv, 0.05, 0.005)
+    geodesic_residual(MetricKind.DIRICHLET, curve)
+    assert len(iterations) <= 300
 
 
 def test_residual_needs_enough_samples(pot2):

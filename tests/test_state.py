@@ -7,6 +7,8 @@ of cos(2 pi x_1) and cos(2 pi x_2) is 4 pi^4 cos cos (the Laplacian product;
 the Hessian-star of fields on different complex axes vanishes).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -334,3 +336,45 @@ def test_green_solve_transform_budget(monkeypatch, curved2):
     k = calls["_flat_inverse"]
     assert k > 0
     assert (calls["rfft"], calls["irfft"]) == (k + 1, 4 * k + 5)
+
+
+def test_green_solve_repeats_bit_for_bit(curved2):
+    # the workspace and the transform scratch carry nothing from one solve
+    # into the next
+    spec = curved2.spec
+    v = ma_cross(curved2, random_field(spec, seed=67), random_field(spec, seed=68))
+    first = green_solve(curved2, v)
+    green_solve(curved2, laplacian(curved2, random_field(spec, seed=69)),
+                x0=random_field(spec, seed=70))
+    assert green_solve(curved2, v).tobytes() == first.tobytes()
+
+
+def test_green_solve_memory_is_a_fixed_number_of_fields(monkeypatch, curved2):
+    # one workspace per solve: 7 grid fields and 3 half spectra of 9/8 field
+    # each, beside the right-hand side, residual, iterate and (e^u r)^ (about
+    # 14.6 fields in all). An iteration allocates no grid field; what it
+    # does allocate (NumPy's cast buffers) stays below half a field.
+    field = 8 * curved2.spec.nodes
+    peaks, rises = [], []
+    true_fn = kgeo.state._flat_inverse
+
+    def at_iteration(*args, **kwargs):  # one call per PCG iteration
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        rises.append(peak - current)
+        tracemalloc.reset_peak()
+        return true_fn(*args, **kwargs)
+    monkeypatch.setattr(kgeo.state, "_flat_inverse", at_iteration)
+    v = ma_cross(curved2, random_field(curved2.spec, seed=71),
+                 random_field(curved2.spec, seed=72))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        green_solve(curved2, v)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert len(rises) > 5
+    # the first stretch holds the set-up; each later one is one iteration
+    assert max(rises[1:]) < field / 2
+    assert max(peaks) - before <= 16 * field

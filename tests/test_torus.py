@@ -100,6 +100,27 @@ def test_irfft_drops_imaginary_parts_like_numpy(n):
     assert _rel(irfft(spec, gh), expected) <= 1e-13
 
 
+@pytest.mark.parametrize("n,N", [(1, 16), (1, 32), (2, 16)])
+def test_transforms_into_out_leave_no_scratch_behind(n, N):
+    # out= gives the bits of a new array, and no result is a view of the
+    # spec's scratch, which the next transform overwrites
+    spec = build_spec(n, N)
+    f = np.random.default_rng(50 + N + n).standard_normal(spec.shape)
+    fh = rfft(spec, f)
+    g = irfft(spec, fh)
+    out_h = np.empty(spec.half_shape, dtype=complex)
+    out_g = np.empty(spec.shape)
+    assert rfft(spec, f, out=out_h) is out_h
+    assert irfft(spec, fh, out=out_g) is out_g
+    assert out_h.tobytes() == fh.tobytes()
+    assert out_g.tobytes() == g.tobytes()
+    for result in (fh, g, out_h, out_g):
+        assert not any(np.shares_memory(result, s) for s in spec._scratch)
+    kept = (fh.tobytes(), g.tobytes())
+    irfft(spec, rfft(spec, 2.0 * f))
+    assert (fh.tobytes(), g.tobytes()) == kept
+
+
 _HASH_TRANSFORMS = """
 import hashlib
 import numpy as np
