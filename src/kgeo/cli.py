@@ -22,8 +22,8 @@ import numpy as np
 from . import state as state_mod
 from .torus import build_spec, random_field
 from .state import (make_potential, project_tangent, green_solve, ma_cross,
-                    hess_star, c_divergence, PositivityViolation, MeanNotZero,
-                    NoConvergence)
+                    hess_star, c_divergence, _solve_residual,
+                    PositivityViolation, MeanNotZero, NoConvergence)
 from .metrics import MetricKind, DegeneratePlane
 from .curvature import sectional, commutator_fd
 from .dynamics import (integrate_geodesic, geodesic_residual, path_energy,
@@ -275,9 +275,7 @@ def _plane_checks(pot, tv1, tv2):
         # in dimension one, so it cannot serve here)
         target = lap(pot, q)
         target = target - pot.eu_mean(target)
-        back = lap(pot, green_solve(pot, target))
-        return (float(np.max(np.abs(back - target)))
-                / max(float(np.max(np.abs(target))), 1e-30))
+        return _solve_residual(pot, green_solve(pot, target), target)
 
     def source_mean_zero():
         # the cross term's e^u-mean vanishes identically; compare against

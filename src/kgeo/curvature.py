@@ -33,8 +33,9 @@ is tested against.
 import numpy as np
 
 from .torus import random_field
-from .state import (TangentVector, check_anchor, _c_parts, _sup_pencil_eig,
-                    green_solve, laplacian, ma_cross, make_potential)
+from .state import (TangentVector, check_anchor, _c_parts, _solve_residual,
+                    _sup_pencil_eig, green_solve, laplacian, ma_cross,
+                    make_potential)
 from .metrics import (MetricKind, DegeneratePlane, a_field,
                       covariant_derivative_at, gram_schmidt, grad_pairing,
                       inner, poisson_bracket)
@@ -92,14 +93,6 @@ class CurvatureReport:
 
     def __repr__(self):
         return "CurvatureReport(%s, value=%.6g)" % (self.kind.value, self.value)
-
-
-def _solve_residual(pot, a, rhs):
-    r = laplacian(pot, a) - rhs
-    denom = float(np.max(np.abs(rhs)))
-    if denom == 0.0:
-        return float(np.max(np.abs(r)))
-    return float(np.max(np.abs(r))) / denom
 
 
 def sectional(kind, pot, tv1, tv2):
@@ -203,8 +196,8 @@ def poincare_constant(pot):
 
     Inverse-power iteration through green_solve in the e^u-weighted inner
     product from random_field seed 1, at most 50 iterations, to 1e-8
-    relative change. Flat value is 2 pi^2. Diagnostic quantity (reported
-    alongside curvature bounds, not a factor of them).
+    relative change. Flat value is 2 pi^2. A library diagnostic: no command
+    reports it, and no bound uses it.
     """
     x = random_field(pot.spec, seed=1)
     x -= pot.eu_mean(x)

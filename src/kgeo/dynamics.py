@@ -57,17 +57,17 @@ __all__ = [
 class Curve:
     """A uniformly sampled path of potentials with velocities.
 
-    Stores the potential and velocity fields of every sample. A curve from
-    integrate_geodesic also carries what the integrator computed at each
-    stored sample: the conformal factor u (us) and the Dirichlet speed
-    (speeds). path_energy, path_length and geodesic_residual read those
-    instead of rebuilding the potentials; on a hand-built curve (us and
-    speeds None) they are computed from the fields. potential(i) builds
-    the KahlerPotential of sample i on every call (no cache), keeping the
-    stored field bit-exact (no dealiasing): integrated trajectories live in
-    the full grid space, and residual studies must difference exactly the
-    states the integrator produced. meta carries integrator diagnostics
-    (per-step speeds, re-gauge drift).
+    Stores the potential and velocity fields of every sample and the
+    conformal factor u of each (us): integrate_geodesic passes the u it
+    computed, otherwise us is built from potential(i) once the samples are
+    validated. A curve from integrate_geodesic also carries each sample's
+    Dirichlet speed (speeds), which path_energy and path_length read; on a
+    hand-built curve speeds is None and they compute it from the fields.
+    potential(i) builds the KahlerPotential of sample i on every call (no
+    cache), keeping the stored field bit-exact (no dealiasing): integrated
+    trajectories live in the full grid space, and residual studies must
+    difference exactly the states the integrator produced. meta carries
+    integrator diagnostics (per-step speeds, re-gauge drift).
     """
 
     def __init__(self, spec, times, phis, psis, meta=None, us=None, speeds=None):
@@ -89,7 +89,8 @@ class Curve:
         self.times = times
         self.phis = [np.asarray(p, dtype=float) for p in phis]
         self.psis = [np.asarray(p, dtype=float) for p in psis]
-        self.us = None if us is None else [np.asarray(u, dtype=float) for u in us]
+        self.us = ([self.potential(i).u for i in range(times.size)] if us is None
+                   else [np.asarray(u, dtype=float) for u in us])
         self.speeds = None if speeds is None else np.asarray(speeds, dtype=float)
         self.meta = dict(meta or {})
 
@@ -303,36 +304,25 @@ def _geodesic_residual_dirichlet(curve):
     expanded, so each entry is the sup norm after removing the e^u-mean.
     Needs two sample layers on each side: entries cover indices 2..len-3.
 
-    Reads the recorded u of an integrated curve. The potentials that the
-    Green solves and Laplacians need (samples 1..len-2, and on a hand-built
-    curve the end samples for their u) are each built once, in order, and
-    dropped as soon as the sweep has passed them. Each w-solve starts from
-    the stored velocity psis[j]: u_t = lap phi_t exactly, so w equals it up
-    to the O(dt^2) of the central difference. The start moves the result
-    only within the solver tolerance, so the residual stays a check on u
-    alone.
+    Reads u from curve.us. The potentials that the Green solves and
+    Laplacians need (samples 1..len-2) are each built once, in order, for
+    the w-solve, and dropped as soon as the sweep has passed them. Each
+    w-solve starts from the stored velocity psis[j]: u_t = lap phi_t
+    exactly, so w equals it up to the O(dt^2) of the central difference.
+    The start moves the result only within the solver tolerance, so the
+    residual stays a check on u alone.
     """
     M = len(curve)
     if M < 5:
         raise ValueError("need at least five samples for the residual")
     dt = curve.dt
-    us = list(curve.us) if curve.us is not None else [None] * M
+    us = curve.us
     pots = {}
-
-    def pot_at(j):
-        if j not in pots:
-            pots[j] = curve.potential(j)
-            if us[j] is None:
-                us[j] = pots[j].u
-        return pots[j]
-
-    def u_at(j):
-        return us[j] if us[j] is not None else pot_at(j).u
 
     def w_at(j):
         # w(j) = G[Pi u_t(j)] with u_t by central difference
-        pot = pot_at(j)
-        ut = (u_at(j + 1) - u_at(j - 1)) / (2.0 * dt)
+        pot = pots[j] = curve.potential(j)
+        ut = (us[j + 1] - us[j - 1]) / (2.0 * dt)
         ut = ut - pot.eu_mean(ut)
         return green_solve(pot, ut, x0=curve.psis[j])
 
@@ -340,7 +330,7 @@ def _geodesic_residual_dirichlet(curve):
     out = np.empty(M - 4)
     for i in range(2, M - 2):
         w[i + 1] = w_at(i + 1)
-        pot = pot_at(i)
+        pot = pots[i]
         F = _conformal_term(us, i, dt)
         dtw = (w[i + 1] - w.pop(i - 1)) / (2.0 * dt)
         utt = (us[i + 1] - 2.0 * us[i] + us[i - 1]) / dt ** 2
@@ -357,8 +347,7 @@ def _geodesic_residual_calabi(curve):
     M = len(curve)
     if M < 3:
         raise ValueError("need at least three samples for the residual")
-    dt = curve.dt
-    us = curve.us or [curve.potential(i).u for i in range(M)]
+    dt, us = curve.dt, curve.us
     out = np.empty(M - 2)
     for i in range(1, M - 1):
         out[i - 1] = float(np.max(np.abs(_conformal_term(us, i, dt) + 1.0)))

@@ -419,6 +419,16 @@ def green_solve(pot, v, maxiter=None, x0=None):
     return x - pot.eu_mean(x)
 
 
+def _solve_residual(pot, a, rhs):
+    # sup|lap a - rhs| / sup|rhs| (absolute for rhs = 0), laplacian looked up
+    # at call time
+    r = laplacian(pot, a) - rhs
+    denom = float(np.max(np.abs(rhs)))
+    if denom == 0.0:
+        return float(np.max(np.abs(r)))
+    return float(np.max(np.abs(r))) / denom
+
+
 def _pcg(pot, b, bnorm, maxiter, x0):
     # green_solve's iteration on -lap w = b; returns the half spectrum of w.
     # Every work field is a view of one block, allocated once per solve and

@@ -11,10 +11,10 @@ Conventions (fixed throughout the package):
   exp(2 pi i (k.x + m.y)) it acts as multiplication by sigma_j = pi(m_j + i k_j).
 
 Scalar fields are plain float64 arrays of shape (N,)*(2n). A Hermitian
-matrix field (a complex Hessian, the metric, its inverse) is kept as its
-real component fields, in the layout hessian_parts returns: [d] for n = 1
-and [d_1, d_2, Re o, Im o] for n = 2, with diagonal entries d_j and the
-(1, 2) entry o. The package's kernels contract them in closed 2x2 form;
+matrix field (a complex Hessian, the metric) is kept as its real component
+fields, in the layout hessian_parts returns: [d] for n = 1 and
+[d_1, d_2, Re o, Im o] for n = 2, with diagonal entries d_j and the (1, 2)
+entry o. The package's kernels contract them in closed 2x2 form;
 complex_hessian and holomorphic_hessian assemble complex arrays of shape
 (N,)*(2n) + (n, n) for callers that want a tensor.
 
@@ -150,12 +150,10 @@ class TorusSpec:
         """Half-spectrum symbols of the real fields of the complex Hessian.
 
         f_{j jbar} has the real even symbol -pi^2 (m_j^2 + k_j^2). For n = 2,
-        f_{1 2bar} has the symbol s = -sigma_1 conj(sigma_2)
-        = -pi^2 [(m_1 m_2 + k_1 k_2) + i (k_1 m_2 - m_1 k_2)]; its real and
-        imaginary parts come from the Hermitian-even and -odd parts of s.
-        Each is a sum of products of two axis frequencies a b, whose parts
-        are (a b + a' b')/2 and (a b - a' b')/2 with a' the frequency at
-        -K mod N: -a, except that the Nyquist frequency maps to itself.
+        Re f_{1 2bar} and Im f_{1 2bar} have the Hermitian-even and -odd parts
+        of -sigma_1 conj(sigma_2), taken of the integer symbol
+        (m_1 + i k_1)(m_2 - i k_2) = sigma_1 conj(sigma_2) / pi^2, whose
+        halves are exact, and scaled by -pi^2 once.
         """
         pi2 = np.pi ** 2
         k = self._half_freq[:self.n]
@@ -165,26 +163,11 @@ class TorusSpec:
             return out
         nyq = -(self.N // 2)
         refl = [np.where(f == nyq, f, -f) for f in self._half_freq]
-        rk = refl[:2]
-        rm = refl[2:]
 
-        def even(a, ra, b, rb):
-            return 0.5 * (a * b + ra * rb)
+        def cross(k1, k2, m1, m2):
+            return (m1 + 1j * k1) * (m2 - 1j * k2)
 
-        def odd(a, ra, b, rb):
-            return 0.5 * (a * b - ra * rb)
-
-        mm = (m[0], rm[0], m[1], rm[1])
-        kk = (k[0], rk[0], k[1], rk[1])
-        km = (k[0], rk[0], m[1], rm[1])
-        mk = (m[0], rm[0], k[1], rk[1])
-        re_part = np.empty(self.half_shape, dtype=complex)
-        re_part.real = -pi2 * (even(*mm) + even(*kk))
-        re_part.imag = -pi2 * (odd(*km) - odd(*mk))
-        im_part = np.empty(self.half_shape, dtype=complex)
-        im_part.real = -pi2 * (even(*km) - even(*mk))
-        im_part.imag = pi2 * (odd(*mm) + odd(*kk))
-        return out + [re_part, im_part]
+        return out + _hermitian_parts(cross(*self._half_freq), cross(*refl), -pi2)
 
     def coordinates(self):
         """Full coordinate arrays (x_1..x_n, y_1..y_n), each of grid shape."""
@@ -203,6 +186,18 @@ class TorusSpec:
 def build_spec(n, N):
     """Construct a TorusSpec; rejects n not in {1,2} and non-power-of-two N."""
     return TorusSpec(n, N)
+
+
+def _hermitian_parts(s, s_refl, scale):
+    """scale times the Hermitian-even and -odd parts of a symbol s (see the
+    module docstring), given s_refl, s at -K mod N. Overwrites s and s_refl
+    (a table build then peaks at three tables) and returns the odd part in s."""
+    np.conjugate(s_refl, out=s_refl)
+    even = s + s_refl
+    even *= 0.5 * scale
+    s -= s_refl
+    s *= -0.5j * scale
+    return [even, s]
 
 
 def _dft_tables(N):

@@ -253,6 +253,24 @@ def test_complex_hessian_hermitian(spec2):
     assert np.max(np.abs(h[..., 0, 0].imag)) == 0.0
 
 
+@pytest.mark.parametrize("N", [16, 32])
+def test_mixed_hessian_symbols_match_full_grid_parts(N):
+    # -sigma_1 conj(sigma_2) / pi^2 on the full grid, its Hermitian-even and
+    # -odd parts with K -> -K mod N taken by index (not by the Nyquist rule
+    # of the tables), scaled and restricted to the half-spectrum layout
+    spec = build_spec(2, N)
+    k1, k2, m1, m2 = spec._freq
+    s = -(m1 + 1j * k1) * (m2 - 1j * k2)
+    mirror = (-np.arange(N)) % N
+    s_refl = np.conj(s[np.ix_(mirror, mirror, mirror, mirror)])
+    plus, minus = s + s_refl, s - s_refl
+    even = 0.5 * plus
+    odd = 0.5 * minus.imag - 0.5j * minus.real  # minus / (2i)
+    for sym, full in zip(spec.half_hess[2:], (even, odd)):
+        half = np.moveaxis(PI ** 2 * full, -1, 0)[:N // 2 + 1]
+        assert np.array_equal(sym, half)
+
+
 def test_holomorphic_hessian_sign_split(spec1):
     # (2,0) and (1,1) parts agree on x-modes and differ by a sign on y-modes
     x, y = spec1.coordinates()
