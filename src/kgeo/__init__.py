@@ -10,13 +10,11 @@ command-line harness.
 """
 
 from .torus import (TorusSpec, build_spec, dealias, random_field, integrate,
-                    gradient_z, complex_hessian, holomorphic_hessian,
-                    flat_laplacian)
+                    gradient_z, holomorphic_hessian)
 from .state import (EPS_POS, PositivityViolation, MeanNotZero, NoConvergence,
                     KahlerPotential, TangentVector, make_potential,
                     project_tangent, check_anchor, laplacian, hess_star,
-                    ma_cross, c_tensor, c_divergence, laplacian_rate,
-                    green_solve)
+                    ma_cross, c_divergence, green_solve)
 from .metrics import (MetricKind, DegeneratePlane, grad_pairing,
                       poisson_bracket, inner, gram_schmidt, a_field,
                       covariant_derivative_at, covariant_derivative)
@@ -32,11 +30,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TorusSpec", "build_spec", "dealias", "random_field", "integrate",
-    "gradient_z", "complex_hessian", "holomorphic_hessian", "flat_laplacian",
+    "gradient_z", "holomorphic_hessian",
     "EPS_POS", "PositivityViolation", "MeanNotZero", "NoConvergence",
     "KahlerPotential", "TangentVector", "make_potential", "project_tangent",
-    "check_anchor", "laplacian", "hess_star", "ma_cross", "c_tensor",
-    "c_divergence", "laplacian_rate", "green_solve",
+    "check_anchor", "laplacian", "hess_star", "ma_cross", "c_divergence",
+    "green_solve",
     "MetricKind", "DegeneratePlane", "grad_pairing", "poisson_bracket",
     "inner", "gram_schmidt", "a_field", "covariant_derivative_at",
     "covariant_derivative",

@@ -57,17 +57,16 @@ __all__ = [
 class Curve:
     """A uniformly sampled path of potentials with velocities.
 
-    Stores the potential and velocity fields of every sample and the
-    conformal factor u of each (us): integrate_geodesic passes the u it
-    computed, otherwise us is built from potential(i) once the samples are
-    validated. A curve from integrate_geodesic also carries each sample's
-    Dirichlet speed (speeds), which path_energy and path_length read; on a
-    hand-built curve speeds is None and they compute it from the fields.
-    potential(i) builds the KahlerPotential of sample i on every call (no
-    cache), keeping the stored field bit-exact (no dealiasing): integrated
-    trajectories live in the full grid space, and residual studies must
-    difference exactly the states the integrator produced. meta carries
-    integrator diagnostics (per-step speeds, re-gauge drift).
+    Stores the potential and velocity fields of every sample, the conformal
+    factor u of each (us) and its Dirichlet speed (speeds), which
+    path_energy and path_length read. integrate_geodesic passes the u and
+    speeds it computed; on a hand-built curve both are taken, once the
+    samples are validated, from one velocity(i) per sample, built one at a
+    time. potential(i) builds the KahlerPotential of sample i on every call
+    (no cache), keeping the stored field bit-exact (no dealiasing):
+    integrated trajectories live in the full grid space, and residual
+    studies must difference exactly the states the integrator produced.
+    meta carries integrator diagnostics (per-step speeds, re-gauge drift).
     """
 
     def __init__(self, spec, times, phis, psis, meta=None, us=None, speeds=None):
@@ -89,9 +88,16 @@ class Curve:
         self.times = times
         self.phis = [np.asarray(p, dtype=float) for p in phis]
         self.psis = [np.asarray(p, dtype=float) for p in psis]
-        self.us = ([self.potential(i).u for i in range(times.size)] if us is None
-                   else [np.asarray(u, dtype=float) for u in us])
-        self.speeds = None if speeds is None else np.asarray(speeds, dtype=float)
+        if us is None or speeds is None:
+            built_us, built_speeds = [], np.empty(times.size)
+            for i in range(times.size):
+                tv = self.velocity(i)
+                built_us.append(tv.base.u)
+                built_speeds[i] = inner(MetricKind.DIRICHLET, tv.base, tv, tv)
+            us = built_us if us is None else us
+            speeds = built_speeds if speeds is None else speeds
+        self.us = [np.asarray(u, dtype=float) for u in us]
+        self.speeds = np.asarray(speeds, dtype=float)
         self.meta = dict(meta or {})
 
     def __len__(self):
@@ -130,7 +136,7 @@ class FlowTrace:
 
 
 def _speeds(kind, curve):
-    if kind is MetricKind.DIRICHLET and curve.speeds is not None:
+    if kind is MetricKind.DIRICHLET:
         return curve.speeds
     out = np.empty(len(curve))
     for i in range(len(curve)):

@@ -1,10 +1,11 @@
 """Points of the space of Kahler potentials and the operator toolkit at a point.
 
 A potential phi (Lebesgue-mean-zero, dealiased) determines the metric
-g = (1/2) I + complex_hessian(phi), which must be positive definite pointwise.
-The volume conformal factor is u = log(det g / det g_flat); the node-mean of
-e^u is exactly 1 for dealiased phi (the determinant is a trig polynomial below
-the grid bandwidth, so the quadrature is exact).
+g = (1/2) I + phi_{j kbar} (its complex Hessian, torus.hessian_parts), which
+must be positive definite pointwise. The volume conformal factor is
+u = log(det g / det g_flat); the node-mean of e^u is exactly 1 for dealiased
+phi (the determinant is a trig polynomial below the grid bandwidth, so the
+quadrature is exact).
 
 The metric is stored once, as real component fields (structure of arrays)
 with 1/det g, and every operator here contracts it by one closed 2x2 rule:
@@ -19,8 +20,7 @@ are gauge and every operator here returns a fixed gauge representative.
 
 import numpy as np
 
-from .torus import (dealias, gradient_z, hermitian_field, hessian_parts,
-                    integrate, rfft, irfft)
+from .torus import dealias, gradient_z, hessian_parts, integrate, rfft, irfft
 
 __all__ = [
     "EPS_POS",
@@ -35,9 +35,7 @@ __all__ = [
     "laplacian",
     "hess_star",
     "ma_cross",
-    "c_tensor",
     "c_divergence",
-    "laplacian_rate",
     "green_solve",
 ]
 
@@ -82,9 +80,7 @@ class KahlerPotential:
     conformal factor and its exponential); margin (min eigenvalue of g over
     the grid). At n = 2 that is eight float64 fields, 64 bytes per node (40
     at n = 1); no inverse metric is stored. g_parts lists the metric fields
-    in the layout of hessian_parts; g and g_inv assemble the complex
-    (..., n, n) tensors on access, for callers that want them (no kernel of
-    the package does).
+    in the layout of hessian_parts.
     """
 
     def __init__(self, spec, phi, g_parts, rdet, u, e_u, margin):
@@ -102,18 +98,6 @@ class KahlerPotential:
         if self.spec.n == 1:
             return [self.g11]
         return [self.g11, self.g22, self.g12_re, self.g12_im]
-
-    @property
-    def g(self):
-        """The metric, a complex (..., n, n) Hermitian field built on access."""
-        return hermitian_field(self.g_parts)
-
-    @property
-    def g_inv(self):
-        """The inverse metric (adjugate over det g), built on access."""
-        adj = [1.0] if self.spec.n == 1 else [
-            self.g22, self.g11, -self.g12_re, -self.g12_im]
-        return hermitian_field([p * self.rdet for p in adj])
 
     def eu_mean(self, f):
         """Mean of f against the potential's volume form (Vol = 1)."""
@@ -258,7 +242,7 @@ def _sup_pencil_eig(pot, parts):
 
 
 def laplacian(pot, f):
-    """Metric Laplacian: trace of the complex Hessian against g_inv."""
+    """Metric Laplacian tr(g^-1 Hess f), computed as M(g, Hess f) / det g."""
     return _lap_parts(pot, hessian_parts(pot.spec, f))
 
 
@@ -297,19 +281,11 @@ def ma_cross(pot, f, h):
 
 
 def _c_parts(pot, f):
-    # C[f] = (lap f) g - Hess f, in the layout of hessian_parts
+    # the contracted-Hessian tensor C[f] = (lap f) g - Hess f (lower
+    # indices), in the layout of hessian_parts; zero at n = 1
     parts = hessian_parts(pot.spec, f)
     lap = _lap_parts(pot, parts)
     return [lap * gp - hp for gp, hp in zip(pot.g_parts, parts)]
-
-
-def c_tensor(pot, f):
-    """Contracted-Hessian tensor  C[f] = (lap f) g - Hess f  (lower indices).
-
-    Hermitian at every node; identically zero in complex dimension one; its
-    weighted divergence vanishes for any Hermitian g (see c_divergence).
-    """
-    return hermitian_field(_c_parts(pot, f))
 
 
 def c_divergence(pot, f):
@@ -346,18 +322,6 @@ def c_divergence(pot, f):
             div += np.fft.ifftn(-np.conj(spec.sigma[j]) * comp)
         worst = max(worst, float(np.max(np.abs(div))))
     return worst
-
-
-def laplacian_rate(pot, phi_t, psi, psi_t=None):
-    """Time derivative of (lap psi) along a deformation with velocity phi_t.
-
-    Returns lap(psi_t) - H phi_t * H psi; pass psi_t = None for a frozen
-    section.
-    """
-    out = -hess_star(pot, phi_t, psi)
-    if psi_t is not None:
-        out = out + laplacian(pot, psi_t)
-    return out
 
 
 def _flat_inverse(spec, wh, out=None):

@@ -14,12 +14,12 @@ Scalar fields are plain float64 arrays of shape (N,)*(2n). A Hermitian
 matrix field (a complex Hessian, the metric) is kept as its real component
 fields, in the layout hessian_parts returns: [d] for n = 1 and
 [d_1, d_2, Re o, Im o] for n = 2, with diagonal entries d_j and the (1, 2)
-entry o. The package's kernels contract them in closed 2x2 form;
-complex_hessian and holomorphic_hessian assemble complex arrays of shape
-(N,)*(2n) + (n, n) for callers that want a tensor.
+entry o. The package's kernels contract them in closed 2x2 form. Only
+holomorphic_hessian, whose (2,0) part is symmetric, not Hermitian, returns
+a complex array of shape (N,)*(2n) + (n, n).
 
-Kernels that map real fields to real fields (dealiasing, the flat Laplacian
-and its inverse, seeded fields, the parts of the complex Hessian) run on the
+Kernels that map real fields to real fields (dealiasing, the inverse of the
+flat Laplacian, seeded fields, the parts of the complex Hessian) run on the
 half spectrum of rfft: the last grid axis keeps frequencies 0..N/2 and is
 stored first, every other axis keeps its N frequencies in grid order, so
 the layout is that of np.moveaxis(numpy.fft.rfftn(f), -1, 0). rfft and
@@ -61,11 +61,8 @@ __all__ = [
     "random_field",
     "integrate",
     "hessian_parts",
-    "hermitian_field",
-    "complex_hessian",
     "gradient_z",
     "holomorphic_hessian",
-    "flat_laplacian",
 ]
 
 
@@ -132,14 +129,6 @@ class TorusSpec:
 
         # background metric: g = (1/2) I, det g = 2^-n
         self.det_flat = 0.5 ** self.n
-
-    @property
-    def kmag2(self):
-        """|K|^2 = sum k_j^2 + m_j^2 on the full grid, computed on access."""
-        k2 = np.zeros(self.shape)
-        for f in self._freq:
-            k2 = k2 + f.astype(np.float64) ** 2
-        return k2
 
     @property
     def half_kmag2(self):
@@ -399,28 +388,6 @@ def hessian_parts(spec, f):
     return [irfft(spec, sym * fh) for sym in spec.half_hess]
 
 
-def hermitian_field(parts):
-    """Complex (..., n, n) Hermitian field of real parts in hessian_parts' layout."""
-    n = 1 if len(parts) == 1 else 2
-    out = np.empty(parts[0].shape + (n, n), dtype=complex)
-    out[..., 0, 0] = parts[0]
-    if n == 2:
-        out[..., 1, 1] = parts[1]
-        out[..., 0, 1] = parts[2] + 1j * parts[3]
-        out[..., 1, 0] = np.conj(out[..., 0, 1])
-    return out
-
-
-def complex_hessian(spec, f):
-    """Mixed complex Hessian f_{j kbar} = d^2 f / dz_j dzbar_k.
-
-    Returns a complex array of shape grid + (n, n), Hermitian at every node.
-    The input should be dealiased (spectral derivatives themselves do not
-    alias, but downstream pointwise products do).
-    """
-    return hermitian_field(hessian_parts(spec, f))
-
-
 def holomorphic_hessian(spec, f):
     """Pure second derivatives f_{jk} = d^2 f / dz_j dz_k (symbol sigma_j sigma_k).
 
@@ -437,7 +404,3 @@ def holomorphic_hessian(spec, f):
             out[..., k, j] = out[..., j, k]
     return out
 
-
-def flat_laplacian(spec, f):
-    """Background Laplacian lap0 = (1/2) * (real Laplacian); symbol -2 pi^2 |K|^2."""
-    return irfft(spec, -2.0 * np.pi ** 2 * spec.half_kmag2 * rfft(spec, f))

@@ -3,13 +3,17 @@
 The metric is stored as real component fields, and the kernels that
 contract it (index raising, the gradient contraction behind grad_pairing
 and poisson_bracket, the pencil norm behind the Dirichlet bound, the second
-variation of the energy) are written out entrywise. The references below
-assemble the complex tensors pot.g and pot.g_inv and contract them with
-einsum or a per-node eigensolver. The closed forms sum in another order, so
+variation of the energy) are written out entrywise. The references take
+the metric from oracles.py, as 1/2 I plus a complex-FFT Hessian of phi
+assembled into a (..., n, n) tensor, invert it with numpy.linalg and
+contract with einsum or a per-node eigensolver, so none reads the
+library's adjugate over det g. The closed forms sum in another order, so
 agreement is required to 1e-12 relative to the reference's size. Only
-kgeo.state reads the component fields.
+kgeo.state reads the component fields, and oracles.py imports nothing
+from kgeo.
 """
 
+import ast
 import pathlib
 import re
 
@@ -17,9 +21,10 @@ import numpy as np
 import pytest
 
 import kgeo
-from kgeo.torus import (build_spec, complex_hessian, gradient_z,
-                        holomorphic_hessian, random_field)
-from kgeo.state import _potential_raw, _raise, c_tensor, project_tangent
+import oracles
+from kgeo.torus import (build_spec, gradient_z, holomorphic_hessian,
+                        random_field)
+from kgeo.state import _potential_raw, _raise, project_tangent
 from kgeo.metrics import grad_pairing, poisson_bracket
 from kgeo.curvature import _c_parts, _sup_pencil_eig
 from kgeo.dynamics import (kenergy_gradient, kenergy_second_derivative,
@@ -46,7 +51,8 @@ def test_raise_matches_einsum(case):
     pot, f, h = case
     x = [df + 1j * dh for df, dh in
          zip(gradient_z(pot.spec, f), gradient_z(pot.spec, h))]
-    want = np.einsum("...jk,...k->...j", pot.g_inv, np.stack(x, axis=-1))
+    g_inv = np.linalg.inv(oracles.metric(pot))
+    want = np.einsum("...jk,...k->...j", g_inv, np.stack(x, axis=-1))
     _close(np.stack(_raise(pot, x), axis=-1), want)
 
 
@@ -61,11 +67,24 @@ def test_only_state_reads_metric_components():
     assert offenders == []
 
 
+def test_oracles_import_nothing_from_kgeo():
+    # a reference that imported a kernel could share the rule it checks
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert "numpy" in modules
+    assert [m for m in modules if m.split(".")[0] in ("kgeo", "")] == []
+
+
 def test_grad_contraction_matches_tensor_sum(case):
     pot, f, h = case
     gf = gradient_z(pot.spec, f)
     gh = gradient_z(pot.spec, h)
-    g_inv = pot.g_inv
+    g_inv = np.linalg.inv(oracles.metric(pot))
     want = sum(g_inv[..., j, k] * gf[k] * np.conj(gh[j])
                for j in range(pot.spec.n) for k in range(pot.spec.n))
     _close(grad_pairing(pot, f, h), 2.0 * want.real)
@@ -75,7 +94,8 @@ def test_grad_contraction_matches_tensor_sum(case):
 def test_pencil_norm_matches_eigensolver(case):
     pot, f, _ = case
     # generalized eigenvalues of (C, g) are the eigenvalues of g^-1 C
-    lam = np.linalg.eigvals(np.linalg.solve(pot.g, c_tensor(pot, f)))
+    lam = np.linalg.eigvals(np.linalg.solve(oracles.metric(pot),
+                                            oracles.c_tensor(pot, f)))
     want = float(np.max(np.abs(lam)))
     got = _sup_pencil_eig(pot, _c_parts(pot, f))
     assert got == pytest.approx(want, rel=RTOL)
@@ -85,12 +105,14 @@ def test_kenergy_second_derivative_matches_einsum(case):
     pot, f, _ = case
     spec = pot.spec
     tv = project_tangent(pot, 0.02 * f)
-    g_inv = pot.g_inv
+    g = oracles.metric(pot)
+    g_inv = np.linalg.inv(g)
     P = holomorphic_hessian(spec, tv.psi)
     d2 = np.einsum("...ki,...lj,...ij,...kl->...",
                    g_inv, g_inv, P, np.conj(P)).real
     s = scalar_curvature(pot)
-    T = complex_hessian(spec, kenergy_gradient(pot).psi) + s[..., None, None] * pot.g
+    T = (oracles.complex_hessian(spec, kenergy_gradient(pot).psi)
+         + s[..., None, None] * g)
     grad = np.stack(gradient_z(spec, tv.psi), axis=-1)
     raised = np.conj(np.einsum("...ij,...j->...i", g_inv, grad))
     quad = np.einsum("...ij,...i,...j->...", T, raised, np.conj(raised)).real

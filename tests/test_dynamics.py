@@ -166,20 +166,17 @@ def test_path_functionals_read_recorded_speeds(short_geodesic):
     assert ln == float(np.trapezoid(np.sqrt(np.maximum(cur.speeds, 0.0)),
                                     cur.times))
     copy = _hand_built(cur)
-    assert copy.speeds is None
+    assert copy.speeds is not cur.speeds
     assert path_energy(MetricKind.DIRICHLET, copy) == pytest.approx(e, rel=1e-13)
     assert path_length(MetricKind.DIRICHLET, copy) == pytest.approx(ln, rel=1e-13)
 
 
 def test_hand_built_curve_carries_u_and_rebuilds_less(short_geodesic,
                                                       monkeypatch):
-    # a hand-built curve computes each sample's u once, when it is built;
-    # the Dirichlet residual then builds only the interior potentials its
-    # solves and Laplacians need, and the Calabi residual builds none
-    copy = _hand_built(short_geodesic)
-    M = len(copy)
-    for i in range(M):
-        assert copy.us[i].tobytes() == copy.potential(i).u.tobytes()
+    # a hand-built curve builds each sample's potential once, when it is
+    # built, for its u and Dirichlet speed; the path functionals then build
+    # none, the Dirichlet residual only the interior potentials its solves
+    # and Laplacians need, and the Calabi residual none
     builds = []
     true_fn = kgeo.dynamics._potential_raw
 
@@ -187,6 +184,16 @@ def test_hand_built_curve_carries_u_and_rebuilds_less(short_geodesic,
         builds.append(1)
         return true_fn(spec, phi)
     monkeypatch.setattr(kgeo.dynamics, "_potential_raw", counting)
+    copy = _hand_built(short_geodesic)
+    M = len(copy)
+    assert len(builds) == M
+    builds.clear()
+    path_energy(MetricKind.DIRICHLET, copy)
+    path_length(MetricKind.DIRICHLET, copy)
+    assert builds == []
+    for i in range(M):
+        assert copy.us[i].tobytes() == copy.potential(i).u.tobytes()
+    builds.clear()
     geodesic_residual(MetricKind.DIRICHLET, copy)
     assert len(builds) == M - 2
     builds.clear()

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 import kgeo.state
-from kgeo.torus import (build_spec, random_field, dealias, flat_laplacian,
-                        complex_hessian, rfft)
+import oracles
+from kgeo.torus import build_spec, random_field, dealias, rfft
 from kgeo.state import (EPS_POS, PositivityViolation, MeanNotZero,
                         NoConvergence, make_potential, project_tangent,
                         check_anchor, laplacian, hess_star, ma_cross,
-                        c_tensor, c_divergence, laplacian_rate, green_solve,
-                        TangentVector, _parseval)
+                        c_divergence, green_solve, TangentVector, _c_parts,
+                        _parseval, _raise)
 
 PI = np.pi
 
@@ -51,11 +51,18 @@ def curved2(spec2):
 
 # --------------------------------------------------------- make_potential --
 
+def _inverse_metric(pot):
+    # g^-1 as the package applies it: column k is _raise of the k-th unit vector
+    n, shape = pot.spec.n, pot.spec.shape
+    units = [[np.full(shape, float(j == k)) for j in range(n)] for k in range(n)]
+    return np.stack([np.stack(_raise(pot, e), axis=-1) for e in units], axis=-1)
+
+
 def test_flat_potential_tables(flat2):
     assert flat2.margin == pytest.approx(0.5, abs=1e-15)
     assert np.max(np.abs(flat2.u)) < 1e-14
     assert np.max(np.abs(flat2.e_u - 1.0)) < 1e-14
-    assert np.max(np.abs(flat2.g_inv[..., 0, 0] - 2.0)) < 1e-14
+    assert np.max(np.abs(_inverse_metric(flat2)[..., 0, 0] - 2.0)) < 1e-14
 
 
 def test_make_potential_recentres(spec1):
@@ -93,10 +100,11 @@ def test_volume_normalization(curved1, curved2):
 
 
 def test_metric_margin_matches_eigensolver(curved2):
-    eigs = np.linalg.eigvalsh(curved2.g)
+    g = oracles.metric(curved2)
+    eigs = np.linalg.eigvalsh(g)
     assert curved2.margin == pytest.approx(float(np.min(eigs)), abs=1e-12)
-    inv = np.linalg.inv(curved2.g)
-    assert np.max(np.abs(inv - curved2.g_inv)) < 1e-12
+    inv = np.linalg.inv(g)
+    assert np.max(np.abs(inv - _inverse_metric(curved2))) < 1e-12
 
 
 def test_potential_stores_components_only(curved1, curved2):
@@ -106,31 +114,6 @@ def test_potential_stores_components_only(curved1, curved2):
         arrays = [v for v in vars(pot).values() if isinstance(v, np.ndarray)]
         assert all(a.shape == pot.spec.shape for a in arrays)
         assert sum(a.nbytes for a in arrays) <= bound * pot.spec.nodes
-
-
-def _tensor_assembly(pot):
-    # the metric and its inverse built as complex (..., n, n) tensors
-    g = complex_hessian(pot.spec, pot.phi)
-    for j in range(pot.spec.n):
-        g[..., j, j] += 0.5
-    g_inv = np.zeros_like(g)
-    if pot.spec.n == 1:
-        g_inv[..., 0, 0] = 1.0 / g[..., 0, 0].real
-        return g, g_inv
-    det = g[..., 0, 0].real * g[..., 1, 1].real - np.abs(g[..., 0, 1]) ** 2
-    g_inv[..., 0, 0] = g[..., 1, 1] / det
-    g_inv[..., 1, 1] = g[..., 0, 0] / det
-    g_inv[..., 0, 1] = -g[..., 0, 1] / det
-    g_inv[..., 1, 0] = -g[..., 1, 0] / det
-    return g, g_inv
-
-
-def test_metric_properties_match_tensor_assembly(curved1, curved2):
-    for pot in (curved1, curved2):
-        g, g_inv = _tensor_assembly(pot)
-        for got, want in ((pot.g, g), (pot.g_inv, g_inv)):
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 # -------------------------------------------------------- tangent vectors --
@@ -156,7 +139,7 @@ def test_check_anchor(spec1, curved1):
 
 def test_laplacian_flat_agrees_with_background(flat2):
     f = random_field(flat2.spec, seed=38)
-    assert np.max(np.abs(laplacian(flat2, f) - flat_laplacian(flat2.spec, f))) < 1e-10
+    assert np.max(np.abs(laplacian(flat2, f) - oracles.flat_laplacian(flat2.spec, f))) < 1e-10
 
 
 def test_laplacian_self_adjoint(curved2):
@@ -207,16 +190,16 @@ def test_ma_cross_mean_zero(curved2):
 def test_c_tensor_flat_oracle(flat2):
     x1, _, _, _ = flat2.spec.coordinates()
     c1 = np.cos(2 * PI * x1)
-    C = c_tensor(flat2, c1)
-    assert np.max(np.abs(C[..., 0, 0])) < 1e-10          # cancels exactly
-    assert np.max(np.abs(C[..., 1, 1] + PI ** 2 * c1)) < 1e-10
-    assert np.max(np.abs(C[..., 0, 1])) < 1e-10
+    C = _c_parts(flat2, c1)
+    assert np.max(np.abs(C[0])) < 1e-10          # cancels exactly
+    assert np.max(np.abs(C[1] + PI ** 2 * c1)) < 1e-10
+    assert np.max(np.abs(C[2] + 1j * C[3])) < 1e-10
 
 
 def test_c_tensor_dim1_vanishes(curved1):
     f = random_field(curved1.spec, seed=49)
-    C = c_tensor(curved1, f)
-    assert np.max(np.abs(C)) < 1e-10
+    C = _c_parts(curved1, f)
+    assert np.max(np.abs(C[0])) < 1e-10
 
 
 def test_c_divergence_roundoff(curved1, curved2):
@@ -233,12 +216,12 @@ def test_laplacian_rate_matches_difference(curved2):
     pp = make_potential(spec, curved2.phi + h * phi_t)
     pm = make_potential(spec, curved2.phi - h * phi_t)
     fd = (laplacian(pp, psi) - laplacian(pm, psi)) / (2 * h)
-    an = laplacian_rate(curved2, phi_t, psi)
+    an = -hess_star(curved2, phi_t, psi)
     scale = max(float(np.max(np.abs(an))), 1e-30)
     assert np.max(np.abs(fd - an)) < 1e-4 * scale
     # moving section adds the Laplacian of its own velocity
     psi_t = project_tangent(curved2, random_field(spec, seed=54)).psi
-    both = laplacian_rate(curved2, phi_t, psi, psi_t)
+    both = laplacian(curved2, psi_t) - hess_star(curved2, phi_t, psi)
     assert np.max(np.abs(both - an - laplacian(curved2, psi_t))) < 1e-10
 
 

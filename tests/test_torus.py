@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 import kgeo
+import oracles
 from kgeo.torus import (build_spec, dealias, random_field, integrate,
-                        gradient_z, complex_hessian, holomorphic_hessian,
-                        flat_laplacian, rfft, irfft)
+                        gradient_z, hessian_parts, holomorphic_hessian, rfft,
+                        irfft)
+from kgeo.state import laplacian, make_potential
 
 PI = np.pi
 
@@ -53,8 +55,6 @@ def test_spec_basic_tables(spec2):
     assert spec2.volume == 1.0
     assert spec2.cutoff == 5
     assert spec2.det_flat == 0.25
-    assert spec2.kmag2.shape == spec2.shape
-    assert float(spec2.kmag2[0, 0, 0, 0]) == 0.0
 
 
 def test_coordinates_layout(spec2):
@@ -231,26 +231,19 @@ def test_gradient_z_second_axis(spec2):
 
 def test_complex_hessian_diagonal(spec1):
     x, y = spec1.coordinates()
-    h = complex_hessian(spec1, np.cos(2 * PI * x))
-    assert np.max(np.abs(h[..., 0, 0] + PI ** 2 * np.cos(2 * PI * x))) < 1e-11
-    h = complex_hessian(spec1, np.cos(2 * PI * y))
-    assert np.max(np.abs(h[..., 0, 0] + PI ** 2 * np.cos(2 * PI * y))) < 1e-11
+    h = hessian_parts(spec1, np.cos(2 * PI * x))
+    assert np.max(np.abs(h[0] + PI ** 2 * np.cos(2 * PI * x))) < 1e-11
+    h = hessian_parts(spec1, np.cos(2 * PI * y))
+    assert np.max(np.abs(h[0] + PI ** 2 * np.cos(2 * PI * y))) < 1e-11
 
 
 def test_complex_hessian_cross_entry(spec2):
     x1, x2, _, _ = spec2.coordinates()
     f = np.cos(2 * PI * x1) * np.cos(2 * PI * x2)
-    h = complex_hessian(spec2, f)
+    h = hessian_parts(spec2, f)
     expect12 = PI ** 2 * np.sin(2 * PI * x1) * np.sin(2 * PI * x2)
-    assert np.max(np.abs(h[..., 0, 1] - expect12)) < 1e-11
-    assert np.max(np.abs(h[..., 0, 0] + PI ** 2 * f)) < 1e-11
-
-
-def test_complex_hessian_hermitian(spec2):
-    f = random_field(spec2, seed=21)
-    h = complex_hessian(spec2, f)
-    assert np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2)))) < 1e-11
-    assert np.max(np.abs(h[..., 0, 0].imag)) == 0.0
+    assert np.max(np.abs(h[2] + 1j * h[3] - expect12)) < 1e-11
+    assert np.max(np.abs(h[0] + PI ** 2 * f)) < 1e-11
 
 
 @pytest.mark.parametrize("N", [16, 32])
@@ -292,13 +285,13 @@ def test_holomorphic_hessian_symmetric(spec2):
 def test_flat_laplacian_single_mode(spec1):
     x, y = spec1.coordinates()
     f = np.cos(2 * PI * (2 * x + y))  # |K|^2 = 5
-    lf = flat_laplacian(spec1, f)
+    lf = laplacian(make_potential(spec1, np.zeros(spec1.shape)), f)
     assert np.max(np.abs(lf + 10.0 * PI ** 2 * f)) < 1e-10
 
 
 def test_flat_laplacian_is_hessian_trace_times_two(spec2):
     # lap0 = 2 sum_j f_{j jbar} for the background metric g = I/2
     f = random_field(spec2, seed=23)
-    h = complex_hessian(spec2, f)
-    tr = 2.0 * (h[..., 0, 0].real + h[..., 1, 1].real)
-    assert np.max(np.abs(flat_laplacian(spec2, f) - tr)) < 1e-10
+    h = hessian_parts(spec2, f)
+    tr = 2.0 * (h[0] + h[1])
+    assert np.max(np.abs(oracles.flat_laplacian(spec2, f) - tr)) < 1e-10
