@@ -33,9 +33,9 @@ is tested against.
 import numpy as np
 
 from .torus import random_field
-from .state import (TangentVector, check_anchor, _c_parts, _solve_residual,
-                    _sup_pencil_eig, green_solve, laplacian, ma_cross,
-                    make_potential)
+from .state import (TangentVector, check_anchor, _c_parts, _cross_sources,
+                    _solve_residual, _sup_pencil_eig, green_solve, laplacian,
+                    ma_cross, make_potential)
 from .metrics import (MetricKind, DegeneratePlane, a_field,
                       covariant_derivative_at, gram_schmidt, grad_pairing,
                       inner, poisson_bracket)
@@ -112,9 +112,8 @@ def sectional(kind, pot, tv1, tv2):
         raise ValueError("unknown metric kind %r" % (kind,))
 
     e1, e2 = gram_schmidt(kind, pot, [tv1, tv2])
-    rhs_st = ma_cross(pot, e1.psi, e2.psi)
-    rhs_ss = ma_cross(pot, e1.psi, e1.psi)
-    rhs_tt = ma_cross(pot, e2.psi, e2.psi)
+    rhs_st, rhs_ss, rhs_tt = _cross_sources(pot, [e1.psi, e2.psi],
+                                            [(0, 1), (0, 0), (1, 1)])
     a_st = green_solve(pot, rhs_st)
     a_ss = green_solve(pot, rhs_ss)
     value = 0.25 * (pot.eu_mean(a_ss * rhs_tt) - pot.eu_mean(a_st * rhs_st))

@@ -14,13 +14,19 @@ det g (the metric Laplacian is M(g, Hf) / det g). No other module reads a
 component field: they use the functions here or the layout-neutral g_parts,
 and index raising (the adjugate of g over det g) is _raise alone.
 
+green_solve iterates on Hartley spectra (torus.hartley): the preconditioner
+is a multiply by spec.lap_inv, the Hessian parts of the search direction
+apply the symbol terms of spec.hess, and an inner product of two fields is
+the plain sum of the products of their spectra over N^(2n).
+
 Tangent vectors are real fields with zero mean against e^u; additive constants
 are gauge and every operator here returns a fixed gauge representative.
 """
 
 import numpy as np
 
-from .torus import dealias, gradient_z, hessian_parts, integrate, rfft, irfft
+from .torus import (_apply_symbol, dealias, gradient_z, hartley, hessian_parts,
+                    integrate)
 
 __all__ = [
     "EPS_POS",
@@ -272,12 +278,18 @@ def ma_cross(pot, f, h):
     complex dimension one, where the Hessian-star degenerates to the product
     of Laplacians.
     """
+    fields = [f] if h is f else [f, h]
+    return _cross_sources(pot, fields, [(0, len(fields) - 1)])[0]
+
+
+def _cross_sources(pot, fields, pairs):
+    # ma_cross of fields[i] and fields[j] for each pair (i, j), from one
+    # hessian_parts per field (none at n = 1, where every source is zero)
     spec = pot.spec
     if spec.n == 1:
-        return np.zeros(spec.shape)
-    pf = hessian_parts(spec, f)
-    ph = pf if h is f else hessian_parts(spec, h)
-    return _mixed_det(pot, pf, ph)
+        return [np.zeros(spec.shape) for _ in pairs]
+    parts = [hessian_parts(spec, f) for f in fields]
+    return [_mixed_det(pot, parts[i], parts[j]) for i, j in pairs]
 
 
 def _c_parts(pot, f):
@@ -325,19 +337,14 @@ def c_divergence(pot, f):
 
 
 def _flat_inverse(spec, wh, out=None):
-    # preconditioner on a half spectrum: inverse of minus lap0, zero DC
-    return np.multiply(spec.half_lap_inv, wh, out=out)
+    # preconditioner on a Hartley spectrum: inverse of minus lap0, zero DC
+    return np.multiply(spec.lap_inv, wh, out=out)
 
 
 def _parseval(spec, ah, bh, work=None):
-    # grid sum of a * b from half spectra (halved-axis planes 0 and N/2 count
-    # once, the rest twice); np.sum, as a threaded BLAS dot changes bytes.
-    # work is two real half-spectrum fields (new ones if None)
-    prod, t = work or [np.empty(spec.half_shape) for _ in range(2)]
-    np.multiply(ah.real, bh.real, out=prod)
-    prod += np.multiply(ah.imag, bh.imag, out=t)
-    prod[1:-1] *= 2.0
-    return float(np.sum(prod)) / spec.nodes
+    # grid sum of a * b from Hartley spectra; np.sum, as a threaded BLAS dot
+    # changes bytes. work is one grid field (a new one if None)
+    return float(np.sum(np.multiply(ah, bh, out=work))) / spec.nodes
 
 
 def green_solve(pot, v, maxiter=None, x0=None):
@@ -348,14 +355,15 @@ def green_solve(pot, v, maxiter=None, x0=None):
     r -> flat_inverse(e^u r): composing with the weight keeps it self-adjoint
     in the same inner product as the operator (a plain flat inverse is not,
     and conjugacy degrades on rough right-hand sides). The iterate x, the
-    search direction p and (e^u r)^ are rfft half spectra, the residual r a
-    grid field. An iteration makes 4 irfft (1 at n = 1), the Hessian parts
-    of p, and one rfft, of e^u Ap, which gives p.Ap as a Parseval sum and
-    updates (e^u r)^. x is transformed back and e^u-mean projected once, at
-    the end. One workspace is allocated per solve and freed before that
-    last transform; the operator and the CG updates write into it in place
-    (the transforms' intermediate passes into the scratch of the spec), so
-    no iteration allocates a grid field. Terminates when the plain l2
+    search direction p and (e^u r)^ are Hartley spectra (torus.hartley), the
+    residual r a grid field. An iteration makes 5 real transforms (2 at
+    n = 1): one per Hessian part of p, and one, of e^u Ap, which gives p.Ap
+    as a Parseval sum (a plain sum of products) and updates (e^u r)^. x is
+    transformed back and e^u-mean projected once, at the end. One
+    workspace is allocated per solve and freed before that last transform;
+    the operator and the CG updates write into it in place (the
+    transforms' intermediate passes into the scratch of the spec), so no
+    iteration allocates a grid field. Terminates when the plain l2
     residual satisfies ||lap w - v|| <= GREEN_TOL * ||v||; the iteration
     cap is 10 * N^(2n) (NoConvergence beyond it). x0 seeds the iteration
     (warm starts across nearby solves); the result does not depend on it
@@ -379,7 +387,8 @@ def green_solve(pot, v, maxiter=None, x0=None):
     if maxiter is None:
         maxiter = 10 * spec.nodes
 
-    x = irfft(spec, _pcg(pot, b, bnorm, maxiter, x0))
+    x = hartley(spec, _pcg(pot, b, bnorm, maxiter, x0))
+    x /= spec.nodes
     return x - pot.eu_mean(x)
 
 
@@ -394,40 +403,36 @@ def _solve_residual(pot, a, rhs):
 
 
 def _pcg(pot, b, bnorm, maxiter, x0):
-    # green_solve's iteration on -lap w = b; returns the half spectrum of w.
-    # Every work field is a view of one block, allocated once per solve and
-    # freed on return. One block, not one array per field: glibc's malloc
-    # maps it until one is freed, then (up to 32 MiB) raises its trim
+    # green_solve's iteration on -lap w = b; returns the Hartley spectrum of
+    # w. Every work field is a view of one block, allocated once per solve
+    # and freed on return. One block, not one array per field: glibc's
+    # malloc maps it until one is freed, then (up to 32 MiB) raises its trim
     # threshold to twice its size, so later solves take it from the heap
     # instead of faulting its pages back in. tmp, a temporary of _mixed_det,
     # also takes e^u Ap, alpha Ap and r*r; prod, the symbol-times-spectrum
-    # product, also serves the Parseval sums (pars, two real fields) and
-    # takes alpha p^ and alpha (e^u Ap)^; zh holds z^ and, once p is
-    # updated, (e^u Ap)^.
+    # product, also serves the Parseval sums and takes alpha p^ and
+    # alpha (e^u Ap)^; zh holds z^ and, once p is updated, (e^u Ap)^.
     spec = pot.spec
     e_u = pot.e_u
-    nparts = len(spec.half_hess)
+    nparts = len(spec.hess)
     nreal = nparts + (3 if spec.n == 2 else 2)
-    block = np.empty(nreal * spec.nodes // 2 + 3 * spec.half_size, dtype=complex)
-    reals = block[:-3 * spec.half_size].view(np.float64)
-    reals = reals.reshape((nreal,) + spec.shape)
-    parts, work = list(reals[:nparts]), list(reals[nparts:])
+    block = np.empty((nreal + 3,) + spec.shape)
+    parts, work = list(block[:nparts]), list(block[nparts:nreal])
     ap, tmp = work[:2]
-    prod, zh, ph = block[-3 * spec.half_size:].reshape((3,) + spec.half_shape)
-    pars = list(prod.view(np.float64).reshape((2,) + spec.half_shape))
+    prod, zh, ph = block[nreal:]
 
-    def apply_op(wh):  # -lap w from the half spectrum of w, into ap
-        for sym, part in zip(spec.half_hess, parts):
-            irfft(spec, np.multiply(sym, wh, out=prod), out=part)
+    def apply_op(wh):  # -lap w from the Hartley spectrum of w, into ap
+        for terms, part in zip(spec.hess, parts):
+            hartley(spec, _apply_symbol(spec, terms, wh, prod), out=part)
         return np.negative(_lap_parts(pot, parts, work), out=ap)
 
     if x0 is None:
-        xh = np.zeros(spec.half_shape, dtype=complex)
+        xh = np.zeros(spec.shape)
         r = b.copy()
     else:
-        xh = rfft(spec, np.asarray(x0, dtype=float))
+        xh = hartley(spec, np.asarray(x0, dtype=float))
         r = b - apply_op(xh)
-    sh = rfft(spec, np.multiply(e_u, r, out=tmp))
+    sh = hartley(spec, np.multiply(e_u, r, out=tmp))
     rz_old = 0.0
     for it in range(maxiter):
         rn = float(np.sqrt(np.sum(np.multiply(r, r, out=tmp))))
@@ -437,9 +442,9 @@ def _pcg(pot, b, bnorm, maxiter, x0):
             rn = float(np.sqrt(np.sum(np.multiply(r, r, out=tmp))))
             if rn <= GREEN_TOL * bnorm:
                 return xh
-            rfft(spec, np.multiply(e_u, r, out=tmp), out=sh)
+            hartley(spec, np.multiply(e_u, r, out=tmp), out=sh)
         _flat_inverse(spec, sh, out=zh)
-        rz = _parseval(spec, sh, zh, pars)
+        rz = _parseval(spec, sh, zh, prod)
         if not rz > 0.0:
             # strictly positive for any SPD operator/preconditioner pair
             raise NoConvergence(
@@ -451,8 +456,8 @@ def _pcg(pot, b, bnorm, maxiter, x0):
             np.add(zh, np.multiply(rz / rz_old, ph, out=ph), out=ph)
         rz_old = rz
         apply_op(ph)
-        th = rfft(spec, np.multiply(e_u, ap, out=tmp), out=zh)
-        denom = _parseval(spec, ph, th, pars)
+        th = hartley(spec, np.multiply(e_u, ap, out=tmp), out=zh)
+        denom = _parseval(spec, ph, th, prod)
         if not denom > 0.0:
             raise NoConvergence(
                 "conjugate-gradient breakdown (curvature %.3e)" % denom,

@@ -20,29 +20,39 @@ a complex array of shape (N,)*(2n) + (n, n).
 
 Kernels that map real fields to real fields (dealiasing, the inverse of the
 flat Laplacian, seeded fields, the parts of the complex Hessian) run on the
-half spectrum of rfft: the last grid axis keeps frequencies 0..N/2 and is
-stored first, every other axis keeps its N frequencies in grid order, so
-the layout is that of np.moveaxis(numpy.fft.rfftn(f), -1, 0). rfft and
-irfft do not call numpy.fft: each is a product of the field with one small
-dense DFT matrix per grid axis, real on the halved axis and complex on the
-others, built once per TorusSpec and applied by numpy.matmul as stacks of
-GEMMs small enough for BLAS to run on the calling thread (at n = 1, N = 128
-the complex products shrink to matrix-vector products, which OpenBLAS may
-split over threads). Their bytes do not depend on the BLAS thread count.
-At n = 2, N = 16 and at n = 1, N <= 32 they are faster than numpy.fft's
-per-axis passes. Frequencies follow fftfreq, so the
-Nyquist frequency of every axis, the halved one included, is -N/2. A
-symbol s is applied as its Hermitian-even part (s(K) + conj s(-K mod N))/2,
-which turns a real field into a real field; a complex result such as
-f_{1 2bar} is split into the fields of the even part and of the odd part
-(s(K) - conj s(-K mod N))/(2i), its real and imaginary parts. Away from the
-Nyquist planes these are Re s and Im s; on them -K mod N keeps the Nyquist
-component, so the parts match the complex transform of the full symbol to
-roundoff on full-band fields too. The symbol tables are built once per
-TorusSpec from the per-axis frequency arrays, laid out like the half
-spectrum. Kernels with complex output (gradient_z and holomorphic_hessian
-here, c_divergence in kgeo.state) keep numpy.fft complex transforms over
-every axis.
+separable real Hartley transform
+
+    H[f](K) = sum_x f(x) prod_a cas(2 pi k_a x_a / N),   cas = cos + sin,
+
+a real array of grid shape that holds frequency k_a at index k_a mod N of
+axis a, as numpy.fft does; frequencies follow fftfreq, so the Nyquist
+frequency is -N/2. hartley computes it as one product with the symmetric
+N x N cas matrix per grid axis, applied by numpy.matmul as stacks of GEMMs
+small enough for BLAS to run on the calling thread, so its bytes do not
+depend on the BLAS thread count. H is its own inverse up to N^(2n), and
+sum_x f h = N^(-2n) sum_K H[f] H[h].
+
+On one axis H(k) = Re F(k) - Im F(k) for the DFT F of a real signal, so a
+Hermitian symbol h (h(-k) = conj h(k)) acts on a Hartley spectrum as
+Re h(k) H(k) - Im h(k) H(-k mod N): a multiply, plus a multiply of the
+spectrum reflected on that axis. A symbol even in every axis (|K|^2, the
+2/3 band, the diagonal Hessian parts) is a plain multiply. A complex 1-D
+symbol s is e + i o, with e and o its Hermitian-even and -odd parts
+(s(k) + conj s(-k mod N))/2 and (s(k) - conj s(-k mod N))/(2i)
+(_hermitian_parts). Since -k mod N keeps the Nyquist frequency, the
+frequency k itself is -N/2 on the Nyquist index (its even part) plus i
+times a reflection term that vanishes at 0 and at Nyquist (its odd part).
+A product of per-axis symbols thus expands into terms of weight +-1 or
++-i, each a product of per-axis multiplies and reflections; those of real
+weight sum to the Hermitian-even part of the product, its real field, and
+those of imaginary weight to the odd part, its imaginary field. That is
+how Re and Im f_{1 2bar} come from (m_1 + i k_1)(m_2 - i k_2) =
+sigma_1 conj(sigma_2) / pi^2: per part, two bulk terms that reflect a pair
+of axes, four terms on one Nyquist slice each and two on doubly-Nyquist
+slices, which together match the complex transform of the full symbol to
+roundoff on full-band fields. Kernels with complex output (gradient_z and
+holomorphic_hessian here, c_divergence in kgeo.state) keep numpy.fft
+complex transforms over every axis.
 
 Dealiasing uses the 2/3 rule with per-axis integer cutoff N//3; because N is a
 power of two, triple products of dealiased fields stay strictly below the grid
@@ -50,13 +60,12 @@ bandwidth, which makes the node-mean quadrature of the package's integral
 identities exact to roundoff.
 """
 
-import functools
-
 import numpy as np
 
 __all__ = [
     "TorusSpec",
     "build_spec",
+    "hartley",
     "dealias",
     "random_field",
     "integrate",
@@ -84,89 +93,81 @@ class TorusSpec:
         self.shape = (self.N,) * self.dim_real
         self.nodes = self.N ** self.dim_real
         self.volume = 1.0
-        # integer frequencies per axis in [-N/2, N/2)
-        self.axis_freq = np.fft.fftfreq(self.N, d=1.0 / self.N).astype(np.int64)
+        # integer frequencies per axis in [-N/2, N/2), in fftfreq order
+        half = self.N // 2
+        self.axis_freq = (np.arange(self.N, dtype=np.int64) + half) % self.N - half
         self.cutoff = self.N // 3
 
         # broadcastable frequency arrays, one per real axis, on the full grid
-        # (complex transforms) and on the half spectrum of rfft, which stores
-        # the halved last grid axis first: grid axis j < 2n-1 sits at
-        # position j+1 there, and the last one at position 0
-        self.half_shape = (self.N // 2 + 1,) + self.shape[:-1]
-        self.half_size = (self.N // 2 + 1) * self.nodes // self.N
-        freq = []
-        half = []
-        for ax in range(self.dim_real):
-            sh = [1] * self.dim_real
-            sh[ax] = self.N
-            freq.append(self.axis_freq.reshape(sh))
-            pos = (ax + 1) % self.dim_real
-            sh = [1] * self.dim_real
-            sh[pos] = self.half_shape[pos]
-            half.append(self.axis_freq[:sh[pos]].reshape(sh).astype(np.float64))
-        self._freq = freq
-        self._half_freq = half
-        self._dft = _dft_tables(self.N)
-        # the two buffers the intermediate axis passes of rfft and irfft
-        # write into, in turn (every pass keeps one halved axis)
-        self._scratch = (np.empty(self.half_size, dtype=complex),
-                         np.empty(self.half_size, dtype=complex))
+        self._freq = [self.axis_freq.reshape(_axis_shape(self.dim_real, ax, self.N))
+                      for ax in range(self.dim_real)]
+        self._cas = _cas_table(self.N)
+        # the two buffers the intermediate axis passes of hartley write into,
+        # in turn; _apply_symbol also uses the first between transforms
+        self._scratch = (np.empty(self.shape), np.empty(self.shape))
 
         # sigma_j = pi (m_j + i k_j): symbol of d/dz_j (axis j is x_j, axis n+j is y_j)
         self.sigma = [np.pi * (self._freq[self.n + j] + 1j * self._freq[j])
                       for j in range(self.n)]
-        # half-spectrum tables of the hot kernels: the inverse of -lap0 (zero
-        # at K = 0; |K|^2 is a nonnegative integer), the 2/3-band mask and
-        # the symbols of the Hessian parts
-        k2 = self.half_kmag2
-        self.half_lap_inv = np.where(
-            k2 > 0.0, 1.0 / (2.0 * np.pi ** 2 * np.maximum(k2, 1.0)), 0.0)
-        keep = np.ones(self.half_shape, dtype=bool)
-        for f in half:
-            keep &= np.abs(f) <= self.cutoff
-        self.half_keep = keep
-        self.half_hess = self._hessian_symbols()
+        # tables of the hot kernels on Hartley spectra: the inverse of -lap0
+        # (zero at K = 0, the only zero of the integer |K|^2), the 2/3 band
+        # over N^(2n) (so that H of the masked spectrum is the dealiased
+        # field) and the symbols of the Hessian parts
+        inv = np.maximum(_kmag2(self), 1.0)
+        inv *= 2.0 * np.pi ** 2
+        self.lap_inv = np.divide(1.0, inv, out=inv)
+        self.lap_inv[(0,) * self.dim_real] = 0.0
+        band = np.abs(self._freq[0]) <= self.cutoff
+        for f in self._freq[1:]:
+            band = band & (np.abs(f) <= self.cutoff)
+        self.band = band / float(self.nodes)
+        self.hess = self._hessian_symbols()
 
         # background metric: g = (1/2) I, det g = 2^-n
         self.det_flat = 0.5 ** self.n
 
-    @property
-    def half_kmag2(self):
-        """|K|^2 on the rfftn half spectrum, computed on access."""
-        return sum(f ** 2 for f in self._half_freq)
-
     def _hessian_symbols(self):
-        """Half-spectrum symbols of the real fields of the complex Hessian.
+        """Symbols of the real fields of the complex Hessian, as term lists
+        for _apply_symbol, each over N^(2n) so that H of the result is the
+        field.
 
-        f_{j jbar} has the real even symbol -pi^2 (m_j^2 + k_j^2). For n = 2,
-        Re f_{1 2bar} and Im f_{1 2bar} have the Hermitian-even and -odd parts
-        of -sigma_1 conj(sigma_2), taken of the integer symbol
-        (m_1 + i k_1)(m_2 - i k_2) = sigma_1 conj(sigma_2) / pi^2, whose
-        halves are exact, and scaled by -pi^2 once.
+        f_{j jbar} has the real even symbol -pi^2 (m_j^2 + k_j^2), one plain
+        multiply. For n = 2, Re f_{1 2bar} and Im f_{1 2bar} are the terms of
+        real and of imaginary weight of the integer symbol
+        (m_1 + i k_1)(m_2 - i k_2) = sigma_1 conj(sigma_2) / pi^2, expanded
+        by the per-axis rule of the module docstring and scaled by -pi^2 once.
         """
-        pi2 = np.pi ** 2
-        k = self._half_freq[:self.n]
-        m = self._half_freq[self.n:]
-        out = [-pi2 * (m[j] ** 2 + k[j] ** 2) for j in range(self.n)]
-        if self.n == 1:
+        d, n = self.dim_real, self.n
+        scale = -np.pi ** 2 / self.nodes
+        full = (slice(None),) * d
+        out = [[(scale * (self._freq[j] ** 2 + self._freq[n + j] ** 2), full, full)]
+               for j in range(n)]
+        if n == 1:
             return out
-        nyq = -(self.N // 2)
-        refl = [np.where(f == nyq, f, -f) for f in self._half_freq]
-
-        def cross(k1, k2, m1, m2):
-            return (m1 + 1j * k1) * (m2 - 1j * k2)
-
-        return out + _hermitian_parts(cross(*self._half_freq), cross(*refl), -pi2)
+        k = self.axis_freq.astype(complex)
+        # (m_1 + i k_1) on axes y_1, x_1 and (m_2 - i k_2) on axes y_2, x_2
+        factors = ([(2, k), (0, 1j * k)], [(3, k), (1, -1j * k)])
+        parts = ([], [])
+        for a, sa in factors[0]:
+            for b, sb in factors[1]:
+                for wa, ra, ca in _axis_rule(sa):
+                    for wb, rb, cb in _axis_rule(sb):
+                        w = wa * wb
+                        odd = w.imag != 0
+                        parts[odd].append(_term(d, [(a, ra, ca), (b, rb, cb)],
+                                                w.imag if odd else w.real, scale))
+        # first the terms that keep no axis to its Nyquist slice: the first
+        # term writes every entry of the output it does not zero
+        return out + [sorted(terms, key=lambda t: sum(sl.start not in (None, 1)
+                                                      for sl in t[1]))
+                      for terms in parts]
 
     def coordinates(self):
         """Full coordinate arrays (x_1..x_n, y_1..y_n), each of grid shape."""
         t = np.arange(self.N) / self.N
-        out = []
-        for ax in range(self.dim_real):
-            sh = [1] * self.dim_real
-            sh[ax] = self.N
-            out.append(np.broadcast_to(t.reshape(sh), self.shape).copy())
-        return out
+        return [np.broadcast_to(t.reshape(_axis_shape(self.dim_real, ax, self.N)),
+                                self.shape).copy()
+                for ax in range(self.dim_real)]
 
     def __repr__(self):
         return "TorusSpec(n=%d, N=%d)" % (self.n, self.N)
@@ -177,10 +178,21 @@ def build_spec(n, N):
     return TorusSpec(n, N)
 
 
+def _axis_shape(d, ax, size):
+    sh = [1] * d
+    sh[ax] = size
+    return tuple(sh)
+
+
+def _kmag2(spec):
+    # |K|^2 = sum k_j^2 + m_j^2 on the full grid
+    return sum(f.astype(np.float64) ** 2 for f in spec._freq)
+
+
 def _hermitian_parts(s, s_refl, scale):
     """scale times the Hermitian-even and -odd parts of a symbol s (see the
     module docstring), given s_refl, s at -K mod N. Overwrites s and s_refl
-    (a table build then peaks at three tables) and returns the odd part in s."""
+    and returns the odd part in s."""
     np.conjugate(s_refl, out=s_refl)
     even = s + s_refl
     even *= 0.5 * scale
@@ -189,152 +201,122 @@ def _hermitian_parts(s, s_refl, scale):
     return [even, s]
 
 
-def _dft_tables(N):
-    """DFT matrices of one grid axis of N nodes, as rfft and irfft apply them.
+def _axis_rule(s):
+    """The per-axis rule of a complex 1-D symbol s over the N indices of an
+    axis: (weight, reflect, coef) triples, s acting on a Hartley spectrum
+    as the sum of weight * coef(k) * H(k), or H(-k mod N) where reflect,
+    with weight 1 or i. Zero coefficients are left out."""
+    mirror = -np.arange(s.size) % s.size
+    out = []
+    for weight, h in zip((1, 1j), _hermitian_parts(s.copy(), s[mirror], 1.0)):
+        for reflect, coef in ((False, h.real), (True, -h.imag)):
+            if np.any(coef):
+                out.append((weight, reflect, coef))
+    return out
 
-    Returns (r2c, c2c, c2c_inv, c2r):
-    r2c      (N, N+2) real: a real signal times r2c is its half spectrum,
-             with real and imaginary parts interleaved (cos, -sin columns);
-    c2c      (N, N) complex: exp(-2 pi i j k / N);
-    c2c_inv  (N, N) complex: exp(2 pi i j k / N) / N;
-    c2r      (N+2, N) real: an interleaved half spectrum times c2r is the
-             real signal; frequencies 1..N/2-1 count twice, for their mirror
-             images, and the imaginary parts of frequencies 0 and N/2 drop.
+
+def _term(d, axes, weight, scale):
+    """One term of _apply_symbol: scale times weight times the product of the
+    per-axis coefficients of axes, (axis, reflect, coef) triples, as
+    (coefficient table, output index, source index); integer coefficients
+    stay exact until the one multiply by scale. A reflected axis writes indices
+    1.. from the reversed spectrum (a Hermitian symbol has a real value at
+    k = 0, so its reflection coefficient vanishes there); an axis that is
+    only multiplied keeps the span of its nonzero coefficients."""
+    coef = np.full((1,) * d, float(weight))
+    dst, src = [slice(None)] * d, [slice(None)] * d
+    for ax, reflect, c in axes:
+        if reflect:
+            assert c[0] == 0.0
+            dst[ax], src[ax], c = slice(1, None), slice(None, 0, -1), c[1:]
+        else:
+            nz = np.flatnonzero(c)
+            dst[ax] = src[ax] = slice(nz[0], nz[-1] + 1)
+            c = c[nz[0]:nz[-1] + 1]
+        coef = coef * c.reshape(_axis_shape(d, ax, c.size))
+    return scale * coef, tuple(dst), tuple(src)
+
+
+def _apply_symbol(spec, terms, x, out):
+    """The Hartley spectrum of a symbol, given as terms of _term, applied to
+    the Hartley spectrum x, written into out (not x). The first term
+    restricts no axis: it writes out, and the entries at index 0 of its
+    reflected axes are zero. Every later one is added through the first
+    scratch buffer of spec."""
+    coef, dst, src = terms[0]
+    np.multiply(coef, x[src], out=out[dst])
+    for ax, sl in enumerate(dst):
+        if sl.start == 1:
+            out[(slice(None),) * ax + (0,)] = 0.0
+    tmp = spec._scratch[0]
+    for coef, dst, src in terms[1:]:
+        view = out[dst]
+        view += np.multiply(coef, x[src], out=tmp[dst])
+    return out
+
+
+def _cas_table(N):
+    """cas(2 pi j k / N) = cos + sin of one grid axis of N nodes, symmetric.
     Angles are reduced to j k mod N in integers, so the entries that are
-    0 or +-1 are exact.
-    """
-    half_len = N // 2 + 1
+    0 or +-1 are exact."""
     turns = np.outer(np.arange(N), np.arange(N)) % N
     angle = (2.0 * np.pi / N) * turns
     cos = np.cos(angle)
     sin = np.sin(angle)
     cos[turns % (N // 2) == N // 4] = 0.0
     sin[turns % (N // 2) == 0] = 0.0
-    r2c = np.empty((N, 2 * half_len))
-    r2c[:, 0::2] = cos[:, :half_len]
-    r2c[:, 1::2] = -sin[:, :half_len]
-    weight = np.full((half_len, 1), 2.0 / N)
-    weight[[0, -1]] = 1.0 / N
-    c2r = np.empty((2 * half_len, N))
-    c2r[0::2] = weight * cos[:half_len]
-    c2r[1::2] = -weight * sin[:half_len]
-    return r2c, cos - 1j * sin, (cos + 1j * sin) / N, c2r
+    return cos + sin
 
 
-# Real multiply-adds per GEMM of a transform (a complex one counts 4). From
-# 2^16 complex multiply-adds OpenBLAS runs a zgemm on several threads, and a
-# large dgemm takes other kernels, with other roundoff, as the thread count
-# changes; within 2^17 a GEMM stays on the calling thread. (A block of one
-# row is a matrix-vector product, which OpenBLAS may still split; that only
-# happens at n = 1, N = 128.)
+# Multiply-adds per GEMM of a transform. From there on a large dgemm takes
+# other kernels on several OpenBLAS threads, with other roundoff as the
+# thread count changes; within 2^17 a GEMM stays on the calling thread. Grid
+# sizes are powers of two, so blocks of rows divide the rows evenly, and
+# for N <= 256 a block holds at least two rows (one row would be a
+# matrix-vector product, which OpenBLAS may split over threads).
 _GEMM_MACS = 2 ** 17
 
 
-@functools.lru_cache(maxsize=128)
-def _block_rows(rows, macs_per_row):
-    """Rows per GEMM: the largest divisor of rows within the _GEMM_MACS budget."""
-    block = max(1, min(rows, _GEMM_MACS // macs_per_row))
-    while rows % block:
-        block -= 1
-    return block
-
-
-def _gemm_rows(rows, w):
-    """Rows per GEMM when `rows` rows go through the table w."""
-    return _block_rows(rows, w.size * (4 if w.dtype.kind == "c" else 1))
-
-
-def _rows_times(a, w, out):
-    """The contiguous matrix a times w, as a stack of GEMMs over row blocks,
-    written into the contiguous array out."""
-    rows = a.shape[0]
-    block = _gemm_rows(rows, w)
-    return np.matmul(a.reshape(rows // block, block, -1), w,
-                     out=out.reshape(rows // block, block, w.shape[1]))
-
-
 def _lead_to_end(y, w, out):
-    """Transform the leading axis of y by w (y_j -> sum_j y_j w_jk) and move
-    it to the end, into the contiguous complex array out: the rows are the
-    other axes, flattened, and every GEMM reads a block of them through a
-    transposed view."""
-    lead, rest = y.shape[0], y.shape[1:]
+    """Transform the leading axis of y by the symmetric matrix w and move it
+    to the end, into the contiguous array out: the rows are the other axes,
+    flattened, and every GEMM reads a block of them through a transposed
+    view."""
+    lead = y.shape[0]
     rows = y.size // lead
-    block = _gemm_rows(rows, w)
+    block = max(1, min(rows, _GEMM_MACS // (lead * lead)))
     stack = y.reshape(lead, rows // block, block).transpose(1, 2, 0)
-    out = out.reshape(rest + (lead,))
     np.matmul(stack, w, out=out.reshape(rows // block, block, lead))
     return out
 
 
-def _end_to_front(z, w, out):
-    """Transform the trailing axis of z by w (z_k -> sum_k w_jk z_k) and move
-    it to the front, into the contiguous complex array out: the mirror image
-    of _lead_to_end. Every GEMM writes a block of columns of the output
-    through a strided view, so nothing is copied to move the axis."""
-    tail, rest = z.shape[-1], z.shape[:-1]
-    rows = z.size // tail
-    block = _gemm_rows(rows, w)
-    out = out.reshape((tail,) + rest)
-    np.matmul(w, z.reshape(rows // block, block, tail).transpose(0, 2, 1),
-              out=out.reshape(tail, rows // block, block).transpose(1, 0, 2))
-    return out
+def hartley(spec, f, out=None):
+    """The separable real Hartley transform of a real field (module
+    docstring); hartley(spec, hartley(spec, f)) = spec.nodes * f.
 
-
-def rfft(spec, f, out=None):
-    """Half spectrum of a real field, with the halved (last) axis stored first.
-
-    Equals np.moveaxis(np.fft.rfftn(f), -1, 0). The last grid axis goes
-    through one real matrix product whose output, with re and im
-    interleaved, is viewed as complex; every other axis then goes through
-    one complex product that transforms the leading axis and moves it to
-    the end. Each product is a stack of GEMMs over blocks of rows, each
-    within _GEMM_MACS multiply-adds. The result is written into out (a
-    contiguous complex array of spec.half_shape) when given, else into a
+    Every axis in turn is transformed and moved to the end, so after the
+    2n passes the axes are back in order; each pass is a stack of GEMMs
+    over blocks of rows, each within _GEMM_MACS multiply-adds. The result
+    is written into out (a contiguous float64 array of spec.shape; it may
+    be f, which the first pass has read by then) when given, else into a
     new array. The passes before the last write into the two scratch
     buffers of spec, so two threads must not transform on one spec at once;
     the result never shares memory with them.
     """
-    r2c, c2c = spec._dft[:2]
-    N = spec.N
-    if out is None:
-        out = np.empty(spec.half_shape, dtype=complex)
-    scratch = spec._scratch
-    y = _rows_times(f.reshape(-1, N), r2c, scratch[0].view(np.float64))
-    y = y.view(complex).reshape(f.shape[:-1] + (N // 2 + 1,))
-    passes = spec.dim_real - 1
-    for i in range(1, passes + 1):
-        y = _lead_to_end(y, c2c, out if i == passes else scratch[i % 2])
-    return out
-
-
-def irfft(spec, fh, out=None):
-    """Real field of a Hermitian half spectrum in rfft's layout; its inverse.
-
-    The mirror image of rfft: every full axis is transformed and moved to
-    the front, the trailing one first, then the halved axis goes through
-    one real matrix product. That product drops the imaginary parts of
-    frequencies 0 and N/2 of the halved axis, as numpy.fft.irfftn does.
-    The result is written into out (a contiguous float64 array of
-    spec.shape) when given, else into a new array; the complex passes
-    write into the scratch buffers of spec, as in rfft, and fh is only read.
-    """
-    c2c_inv, c2r = spec._dft[2:]
     if out is None:
         out = np.empty(spec.shape)
-    z = fh
-    for i in range(spec.dim_real - 1):
-        z = _end_to_front(z, c2c_inv, spec._scratch[i % 2])
-    parts = z.reshape(-1, z.shape[-1]).view(np.float64)
-    _rows_times(parts, c2r, out)
+    y = f
+    for i in range(1, spec.dim_real + 1):
+        y = _lead_to_end(y, spec._cas,
+                         out if i == spec.dim_real else spec._scratch[i % 2])
     return out
 
 
 def dealias(spec, f):
     """Project a real field onto the 2/3-rule band (|k| <= N//3 per axis)."""
-    fh = rfft(spec, f)
-    fh *= spec.half_keep
-    return irfft(spec, fh)
+    fh = hartley(spec, f)
+    fh *= spec.band
+    return hartley(spec, fh, out=fh)
 
 
 def random_field(spec, seed, decay=4.0, kmax=None):
@@ -350,14 +332,16 @@ def random_field(spec, seed, decay=4.0, kmax=None):
         raise ValueError("decay must exceed 1, got %r" % (decay,))
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(spec.shape)
-    coef = rfft(spec, white)
-    coef *= (1.0 + np.sqrt(spec.half_kmag2)) ** (-decay)
-    coef *= spec.half_keep
+    coef = hartley(spec, white)
+    amp = np.sqrt(_kmag2(spec))
+    amp += 1.0
+    coef *= np.power(amp, -decay, out=amp)
+    coef *= spec.band
     if kmax is not None:
-        for f in spec._half_freq:
+        for f in spec._freq:
             coef = np.where(np.abs(f) > kmax, 0.0, coef)
     coef[(0,) * spec.dim_real] = 0.0
-    out = irfft(spec, coef)
+    out = hartley(spec, coef)
     m = np.max(np.abs(out))
     if m > 0.0:
         out = out / m
@@ -382,10 +366,14 @@ def hessian_parts(spec, f):
     """Real fields of the mixed complex Hessian f_{j kbar} = d^2 f / dz_j dzbar_k.
 
     Returns [f_{1 1bar}] for n = 1 and [f_{1 1bar}, f_{2 2bar}, Re f_{1 2bar},
-    Im f_{1 2bar}] for n = 2: one forward and 1 or 4 inverse real transforms.
+    Im f_{1 2bar}] for n = 2: one forward and 1 or 4 inverse transforms.
     """
-    fh = rfft(spec, f)
-    return [irfft(spec, sym * fh) for sym in spec.half_hess]
+    x = hartley(spec, f)
+    out = []
+    for terms in spec.hess:
+        part = _apply_symbol(spec, terms, x, np.empty(spec.shape))
+        out.append(hartley(spec, part, out=part))
+    return out
 
 
 def holomorphic_hessian(spec, f):

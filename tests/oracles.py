@@ -5,7 +5,7 @@ ifftn over the whole grid, assembles complex (..., n, n) tensors and
 contracts them with einsum or numpy.linalg. The metric is 1/2 I plus the
 complex Hessian of pot.phi, and its inverse comes from numpy.linalg.inv.
 So no reference shares a rule with the closed 2x2 kernels it checks: not
-the half-spectrum symbol tables, not the stored metric fields and not the
+the Hartley symbol terms, not the stored metric fields and not the
 adjugate over det g. This module imports nothing from kgeo (a test in
 test_closed_forms.py scans it); of a spec it reads the sizes, the full-grid
 frequencies _freq and the symbols sigma, and of a potential spec and phi.

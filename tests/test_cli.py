@@ -481,7 +481,7 @@ def test_curvature_dim2_independent_of_blas_threads(tmp_path):
 
 
 def test_geodesic_dim2_independent_of_blas_threads(tmp_path):
-    # warm-started Green solves, with their half-spectrum Parseval sums
+    # warm-started Green solves, with their Parseval sums of Hartley spectra
     outputs = _csv_at_blas_threads(tmp_path, "geodesic", {"T": 0.01})
     assert outputs[0] == outputs[1]
 

@@ -144,6 +144,31 @@ def test_dirichlet_diagnostics_and_gradient_form(curved2):
     assert abs(gradient_form - rep.value) <= 1e-2
 
 
+def test_dirichlet_plane_takes_each_hessian_once(curved2, monkeypatch):
+    # P(psi, chi), P(psi, psi) and P(chi, chi) read the Hessian parts of
+    # psi and chi, one call each; the two solve residuals take one each
+    calls = []
+    true_fn = kgeo.state.hessian_parts
+
+    def counting(spec, f):
+        calls.append(f)
+        return true_fn(spec, f)
+    monkeypatch.setattr(kgeo.state, "hessian_parts", counting)
+    tv1, tv2 = _tv(curved2, 503), _tv(curved2, 504)
+    value = sectional(MetricKind.DIRICHLET, curved2, tv1, tv2).value
+    assert len(calls) == 4
+    monkeypatch.setattr(kgeo.state, "hessian_parts", true_fn)
+    e1, e2 = kgeo.metrics.gram_schmidt(MetricKind.DIRICHLET, curved2, [tv1, tv2])
+    a_ss = kgeo.state.green_solve(
+        curved2, kgeo.state.ma_cross(curved2, e1.psi, e1.psi))
+    a_st = kgeo.state.green_solve(
+        curved2, kgeo.state.ma_cross(curved2, e1.psi, e2.psi))
+    rhs_tt = kgeo.state.ma_cross(curved2, e2.psi, e2.psi)
+    rhs_st = kgeo.state.ma_cross(curved2, e1.psi, e2.psi)
+    assert value == 0.25 * (curved2.eu_mean(a_ss * rhs_tt)
+                            - curved2.eu_mean(a_st * rhs_st))
+
+
 def test_sectional_rejects_unknown_kind(curved2):
     with pytest.raises(ValueError):
         sectional("dirichlet", curved2, _tv(curved2, 1), _tv(curved2, 2))

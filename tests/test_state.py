@@ -14,7 +14,7 @@ import pytest
 
 import kgeo.state
 import oracles
-from kgeo.torus import build_spec, random_field, dealias, rfft
+from kgeo.torus import build_spec, random_field, dealias, hartley
 from kgeo.state import (EPS_POS, PositivityViolation, MeanNotZero,
                         NoConvergence, make_potential, project_tangent,
                         check_anchor, laplacian, hess_star, ma_cross,
@@ -289,24 +289,23 @@ def test_green_solve_nan_breaks_down_at_once(curved2):
 
 @pytest.mark.parametrize("n, N", [(1, 16), (1, 32), (2, 16), (2, 32)])
 def test_parseval_sum_matches_grid_sum(n, N):
-    # full-band noise fills the 0 and N/2 planes of the halved axis, which
-    # count once in the half-spectrum sum
+    # full-band noise fills every Nyquist plane
     spec = build_spec(n, N)
     rng = np.random.default_rng(64 + n)
     f = rng.standard_normal(spec.shape)
     h = rng.standard_normal(spec.shape)
     for a, b in ((f, h), (f, f), (f, f + h)):
         want = float(np.sum(a * b))
-        got = _parseval(spec, rfft(spec, a), rfft(spec, b))
+        got = _parseval(spec, hartley(spec, a), hartley(spec, b))
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_green_solve_transform_budget(monkeypatch, curved2):
-    # a cold solve of k iterations: one rfft of e^u r to start and one per
-    # iteration; four irfft per iteration, four for the true residual and
-    # one for the result
+    # a cold solve of k iterations: one transform of e^u r to start; five
+    # per iteration, four for the Hessian parts of p and one of e^u Ap; four
+    # for the true residual and one for the result
     calls = {}
-    for name in ("rfft", "irfft", "_flat_inverse"):
+    for name in ("hartley", "_flat_inverse"):
         true_fn = getattr(kgeo.state, name)
 
         def counting(*args, _name=name, _fn=true_fn, **kwargs):
@@ -318,7 +317,7 @@ def test_green_solve_transform_budget(monkeypatch, curved2):
     green_solve(curved2, v)
     k = calls["_flat_inverse"]
     assert k > 0
-    assert (calls["rfft"], calls["irfft"]) == (k + 1, 4 * k + 5)
+    assert calls["hartley"] == 5 * k + 6
 
 
 def test_green_solve_repeats_bit_for_bit(curved2):
@@ -333,10 +332,11 @@ def test_green_solve_repeats_bit_for_bit(curved2):
 
 
 def test_green_solve_memory_is_a_fixed_number_of_fields(monkeypatch, curved2):
-    # one workspace per solve: 7 grid fields and 3 half spectra of 9/8 field
-    # each, beside the right-hand side, residual, iterate and (e^u r)^ (about
-    # 14.6 fields in all). An iteration allocates no grid field; what it
-    # does allocate (NumPy's cast buffers) stays below half a field.
+    # one workspace per solve: 10 grid fields (7 of them real-space, 3
+    # spectra), beside the right-hand side, residual, iterate and (e^u r)^
+    # (14 fields in all). An iteration allocates no grid field; what it
+    # does allocate (NumPy's buffers for broadcast and strided operands of
+    # the symbol terms) stays below half a field.
     field = 8 * curved2.spec.nodes
     peaks, rises = [], []
     true_fn = kgeo.state._flat_inverse

@@ -18,8 +18,7 @@ import pytest
 import kgeo
 import oracles
 from kgeo.torus import (build_spec, dealias, random_field, integrate,
-                        gradient_z, hessian_parts, holomorphic_hessian, rfft,
-                        irfft)
+                        gradient_z, hessian_parts, holomorphic_hessian, hartley)
 from kgeo.state import laplacian, make_potential
 
 PI = np.pi
@@ -73,68 +72,88 @@ def _rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def _hartley_oracle(f):
+    # per axis, the Hartley transform of a real signal is Re F - Im F for
+    # its DFT F
+    for ax in range(f.ndim):
+        fh = np.fft.fft(f, axis=ax)
+        f = fh.real - fh.imag
+    return f
+
+
 @pytest.mark.parametrize("n,N", [(1, 16), (1, 32), (1, 64), (1, 128),
                                  (2, 16), (2, 32)])
-def test_rfft_matches_numpy_halved_axis_first(n, N):
+def test_hartley_matches_per_axis_fft(n, N):
     spec = build_spec(n, N)
     f = np.random.default_rng(N + n).standard_normal(spec.shape)
-    fh = rfft(spec, f)
-    assert fh.shape == spec.half_shape
-    expected = np.moveaxis(np.fft.rfftn(f), -1, 0)
-    assert _rel(fh, expected) <= 1e-13
-    assert _rel(irfft(spec, fh), f) <= 1e-13
+    fh = hartley(spec, f)
+    assert fh.shape == spec.shape
+    assert _rel(fh, _hartley_oracle(f)) <= 1e-13
+    assert _rel(hartley(spec, fh) / spec.nodes, f) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_irfft_drops_imaginary_parts_like_numpy(n):
-    # a half spectrum that is not the transform of a real field: the planes
-    # of frequency 0 and N/2 on the halved axis carry imaginary parts
+def test_hartley_is_its_own_inverse(n):
+    # H(H f) = N^(2n) f, and the grid sum of f h is the spectral sum of
+    # H f H h over N^(2n)
     spec = build_spec(n, 16)
     rng = np.random.default_rng(40 + n)
-    gh = (rng.standard_normal(spec.half_shape)
-          + 1j * rng.standard_normal(spec.half_shape))
-    assert np.min(np.abs(gh[0].imag)) > 0.0
-    assert np.min(np.abs(gh[-1].imag)) > 0.0
-    expected = np.fft.irfftn(np.moveaxis(gh, 0, -1), s=spec.shape,
-                             axes=tuple(range(spec.dim_real)))
-    assert _rel(irfft(spec, gh), expected) <= 1e-13
+    f = rng.standard_normal(spec.shape)
+    h = rng.standard_normal(spec.shape)
+    assert _rel(hartley(spec, hartley(spec, f)) / spec.nodes, f) <= 1e-13
+    want = float(np.sum(f * h))
+    got = float(np.sum(hartley(spec, f) * hartley(spec, h))) / spec.nodes
+    assert abs(got - want) <= 1e-13 * float(np.sum(np.abs(f * h)))
 
 
 @pytest.mark.parametrize("n,N", [(1, 16), (1, 32), (2, 16)])
 def test_transforms_into_out_leave_no_scratch_behind(n, N):
-    # out= gives the bits of a new array, and no result is a view of the
-    # spec's scratch, which the next transform overwrites
+    # out= gives the bits of a new array, also in place, and no result is a
+    # view of the spec's scratch, which the next transform overwrites
     spec = build_spec(n, N)
     f = np.random.default_rng(50 + N + n).standard_normal(spec.shape)
-    fh = rfft(spec, f)
-    g = irfft(spec, fh)
-    out_h = np.empty(spec.half_shape, dtype=complex)
-    out_g = np.empty(spec.shape)
-    assert rfft(spec, f, out=out_h) is out_h
-    assert irfft(spec, fh, out=out_g) is out_g
+    fh = hartley(spec, f)
+    g = hartley(spec, fh)
+    out_h = np.empty(spec.shape)
+    assert hartley(spec, f, out=out_h) is out_h
     assert out_h.tobytes() == fh.tobytes()
-    assert out_g.tobytes() == g.tobytes()
-    for result in (fh, g, out_h, out_g):
+    in_place = fh.copy()
+    assert hartley(spec, in_place, out=in_place) is in_place
+    assert in_place.tobytes() == g.tobytes()
+    for result in (fh, g, out_h, in_place):
         assert not any(np.shares_memory(result, s) for s in spec._scratch)
     kept = (fh.tobytes(), g.tobytes())
-    irfft(spec, rfft(spec, 2.0 * f))
+    hartley(spec, hartley(spec, 2.0 * f))
     assert (fh.tobytes(), g.tobytes()) == kept
 
 
-_HASH_TRANSFORMS = """
+_HASH_KERNELS = """
 import hashlib
 import numpy as np
-from kgeo.torus import build_spec, rfft, irfft
+from kgeo.torus import build_spec, dealias, hartley, hessian_parts, random_field
+from kgeo.state import green_solve, ma_cross, make_potential
+def digest(arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 for n, N in [(1, 16), (1, 32), (1, 64), (1, 128), (2, 16), (2, 32)]:
     spec = build_spec(n, N)
-    fh = rfft(spec, np.random.default_rng(N).standard_normal(spec.shape))
-    print(n, N, hashlib.sha256(fh.tobytes() + irfft(spec, fh).tobytes()).hexdigest())
+    fh = hartley(spec, np.random.default_rng(N).standard_normal(spec.shape))
+    print(n, N, digest([fh, hartley(spec, fh)]))
+spec = build_spec(1, 128)
+print("dealias 1 128", digest([dealias(spec, np.random.default_rng(3).standard_normal(spec.shape))]))
+spec = build_spec(2, 16)
+rng = np.random.default_rng(4)
+f, h = rng.standard_normal(spec.shape), rng.standard_normal(spec.shape)
+print("kernels 2 16", digest(hessian_parts(spec, f) + [dealias(spec, f)]))
+pot = make_potential(spec, 0.004 * random_field(spec, 5))
+v = ma_cross(pot, random_field(spec, 6), random_field(spec, 7))
+print("green_solve 2 16", digest([green_solve(pot, v)]))
 """
 
 
 def test_transforms_independent_of_blas_threads():
-    # rfft and irfft are BLAS matrix products; at every supported grid their
-    # bytes must not depend on how many threads BLAS may use
+    # hartley is BLAS matrix products; at every supported grid its bytes,
+    # and those of the kernels built on it (the Hessian parts, dealiasing,
+    # a cold Green solve), must not depend on how many threads BLAS may use
     src = os.path.dirname(os.path.dirname(os.path.abspath(kgeo.__file__)))
     outputs = []
     for threads in ("1", "2"):
@@ -142,11 +161,11 @@ def test_transforms_independent_of_blas_threads():
                    OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", _HASH_TRANSFORMS],
+        proc = subprocess.run([sys.executable, "-c", _HASH_KERNELS],
                               env=env, capture_output=True, timeout=300)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 6
+    assert len(outputs[0].splitlines()) == 9
     assert outputs[0] == outputs[1]
 
 
@@ -249,8 +268,9 @@ def test_complex_hessian_cross_entry(spec2):
 @pytest.mark.parametrize("N", [16, 32])
 def test_mixed_hessian_symbols_match_full_grid_parts(N):
     # -sigma_1 conj(sigma_2) / pi^2 on the full grid, its Hermitian-even and
-    # -odd parts with K -> -K mod N taken by index (not by the Nyquist rule
-    # of the tables), scaled and restricted to the half-spectrum layout
+    # -odd parts with K -> -K mod N taken by index (not by the per-axis rule
+    # of the tables), applied by the complex transform to full-band noise,
+    # against the Hessian parts that apply the per-axis rule's terms
     spec = build_spec(2, N)
     k1, k2, m1, m2 = spec._freq
     s = -(m1 + 1j * k1) * (m2 - 1j * k2)
@@ -259,9 +279,12 @@ def test_mixed_hessian_symbols_match_full_grid_parts(N):
     plus, minus = s + s_refl, s - s_refl
     even = 0.5 * plus
     odd = 0.5 * minus.imag - 0.5j * minus.real  # minus / (2i)
-    for sym, full in zip(spec.half_hess[2:], (even, odd)):
-        half = np.moveaxis(PI ** 2 * full, -1, 0)[:N // 2 + 1]
-        assert np.array_equal(sym, half)
+    f = np.random.default_rng(60 + N).standard_normal(spec.shape)
+    fh = np.fft.fftn(f)
+    for part, full in zip(hessian_parts(spec, f)[2:], (even, odd)):
+        want = np.fft.ifftn(PI ** 2 * full * fh)
+        assert np.max(np.abs(want.imag)) <= 1e-13 * np.max(np.abs(want.real))
+        assert _rel(part, want.real) <= 1e-13
 
 
 def test_holomorphic_hessian_sign_split(spec1):
